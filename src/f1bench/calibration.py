@@ -47,7 +47,7 @@ MU_ELITE_DOMINANT = 5.5
 Z_TABLE_LIMIT = 4.9
 
 DRIVER_CLASSES = ("elite", "nonelite")
-SCENARIOS = ("baseline", "dominant", "rookie")
+SCENARIOS = ("baseline", "dominant")
 _SCENARIO_ALIASES = {"dominant_manufacturer": "dominant"}
 
 
@@ -139,10 +139,7 @@ def make_params(scenario="baseline"):
     """Build the full parameter set for a scenario.
 
     The dominant-manufacturer scenario shifts only the elite mean to
-    5.5; spreads and covariances are left as calibrated.  The rookie
-    scenario shares the baseline parameters because its adjustment
-    (halving the benchmark) is applied to simulation summaries, not to
-    the model itself.
+    5.5; spreads and covariances are left as calibrated.
     """
     kind = canonical_scenario(scenario)
     sigma_elite = calibrate_sigma_elite()

@@ -2,7 +2,7 @@
 
 The simulator rounds a normal rank draw to the nearest integer and
 clamps it to 1..20, so the exact distribution over finishing positions
-is a set of normal bin masses: position k covers (k - 0.5, k + 0.5],
+is a set of normal bin masses: position k covers [k - 0.5, k + 0.5),
 with position 1 absorbing the lower tail and position 20 the upper
 tail.  Everything here is analytic and doubles as the oracle the Monte
 Carlo engine is validated against.

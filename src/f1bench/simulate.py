@@ -15,9 +15,10 @@ where a chunk is a fixed block of ``CHUNK_SIMS`` consecutive
 simulation indices.  A season's draws are therefore a pure function of
 the seed and its simulation index, so any partitioning of the chunks
 across workers (or none) yields bit-identical totals, and a single
-season can be replayed in isolation.  Normal deviates are produced by
-inverse transform through ``std_normal_quantile``, keeping all
-normality on one accuracy-audited path.
+season can be replayed in isolation: Philox is counter-based, so the
+replay skips straight to that season's draws.  Normal deviates are
+produced by inverse transform through ``std_normal_quantile``, keeping
+all normality on one accuracy-audited path.
 """
 
 import json
@@ -54,7 +55,7 @@ CATEGORIES = ("elite_driver", "elite_team", "nonelite_driver", "nonelite_team")
 # 24 grands prix plus 6 sprints; the dominant-manufacturer benchmark
 # is defined over a season of 24 race weekends where the 6 sprint
 # weekends displace full rounds, giving 18 full races plus 6 sprints.
-SCENARIO_SEASONS = {"baseline": (24, 6), "dominant": (18, 6), "rookie": (24, 6)}
+SCENARIO_SEASONS = {"baseline": (24, 6), "dominant": (18, 6)}
 
 _FULL_PTS = np.asarray(FULL_RACE_POINTS, dtype=np.int64)
 _SPRINT_PTS = np.asarray(SPRINT_POINTS, dtype=np.int64)
@@ -112,63 +113,67 @@ class SimulationSummary:
         }
 
 
-def _uniform_chunk(master_seed, race, driver, chunk_index, count):
+def _uniform_chunk(master_seed, race, driver, chunk_index, count, offset=0):
+    """Uniforms ``offset .. offset + count`` of one (race, driver, chunk) stream.
+
+    Each Philox counter step yields four 64-bit words and ``random()``
+    uses one word per double, so the generator skips ``offset // 4``
+    counter steps and discards the remaining ``offset % 4`` words.
+    """
     seq = np.random.SeedSequence(entropy=[master_seed, race, driver, chunk_index])
-    gen = np.random.Generator(np.random.Philox(seq))
+    bits = np.random.Philox(seq)
+    bits.advance(offset // 4)
+    gen = np.random.Generator(bits)
+    gen.random(offset % 4)
     return np.maximum(gen.random(count), _UNIFORM_FLOOR)
 
 
-def _normal_chunk(master_seed, race, driver, chunk_index, count):
-    return std_normal_quantile(_uniform_chunk(master_seed, race, driver, chunk_index, count))
-
-
 def round_to_position(ranks):
-    """Round rank draws half away from zero and clamp into 1..20."""
+    """Round rank draws half up, clamp to 1..20."""
     ranks = np.asarray(ranks, dtype=np.float64)
-    nearest = np.where(ranks >= 0.0, np.floor(ranks + 0.5), np.ceil(ranks - 0.5))
-    return np.clip(nearest, 1, 20).astype(np.int64)
+    return np.clip(np.floor(ranks + 0.5), 1, 20).astype(np.int64)
 
 
 def _race_points(config, race):
     return _FULL_PTS if race < config.races_full else _SPRINT_PTS
 
 
-def _driver_chunk(params, driver_class, config, chunk_index, count):
-    """Season totals for one chunk of independent driver seasons."""
+def _race_ranks(params, driver_class, config, race, cars, chunk_index, offset, count):
+    """Raw (unrounded) ranks of one race for seasons ``offset .. offset + count``.
+
+    Returns a tuple with one array per car: a lone driver when ``cars``
+    is 1, a teammate pair drawn from the bivariate model when it is 2.
+    """
     mu = params.class_mean(driver_class)
     sigma = params.class_sigma(driver_class)
-    totals = np.zeros(count, dtype=np.int64)
-    for race in range(config.races):
-        z = _normal_chunk(config.master_seed, race, 0, chunk_index, count)
-        positions = round_to_position(mu + sigma * z)
-        totals += _race_points(config, race)[positions - 1]
-    return totals
-
-
-def _pair_ranks_chunk(params, driver_class, config, race, chunk_index, count):
-    """Raw (unrounded) teammate rank pairs for one race."""
-    mu = params.class_mean(driver_class)
-    sigma = params.class_sigma(driver_class)
-    cov = params.class_cov(driver_class)
-    if not abs(cov) < sigma * sigma:
-        raise ValueError("pair covariance matrix is not positive definite")
+    if cars == 2:
+        cov = params.class_cov(driver_class)
+        if not abs(cov) < sigma * sigma:
+            raise ValueError("pair covariance matrix is not positive definite")
+    z = [
+        std_normal_quantile(
+            _uniform_chunk(config.master_seed, race, car, chunk_index, count, offset))
+        for car in range(cars)
+    ]
+    r1 = mu + sigma * z[0]
+    if cars == 1:
+        return (r1,)
     rho = cov / (sigma * sigma)
-    z1 = _normal_chunk(config.master_seed, race, 0, chunk_index, count)
-    z2 = _normal_chunk(config.master_seed, race, 1, chunk_index, count)
-    r1 = mu + sigma * z1
     # conditional factorization of the bivariate normal
-    r2 = mu + rho * sigma * z1 + sigma * math.sqrt(1.0 - rho * rho) * z2
+    r2 = mu + rho * sigma * z[0] + sigma * math.sqrt(1.0 - rho * rho) * z[1]
     return r1, r2
 
 
-def _team_chunk(params, driver_class, config, chunk_index, count):
-    """Season totals for one chunk of independent team seasons."""
+def _season_chunk(params, category, config, chunk_index, offset, count):
+    """Season totals of seasons ``offset .. offset + count`` of one chunk."""
+    driver_class, entity = category.rsplit("_", 1)
+    cars = 1 if entity == "driver" else 2
     totals = np.zeros(count, dtype=np.int64)
     for race in range(config.races):
-        r1, r2 = _pair_ranks_chunk(params, driver_class, config, race, chunk_index, count)
         points = _race_points(config, race)
-        totals += points[round_to_position(r1) - 1]
-        totals += points[round_to_position(r2) - 1]
+        for ranks in _race_ranks(params, driver_class, config, race, cars,
+                                 chunk_index, offset, count):
+            totals += points[round_to_position(ranks) - 1]
     return totals
 
 
@@ -190,22 +195,20 @@ def season_totals(category, config, params=None, workers=1):
         raise ValueError(f"unknown category {category!r}; expected one of {CATEGORIES}")
     if params is None:
         params = make_params(config.scenario)
-    driver_class, entity = category.rsplit("_", 1)
-    chunk_fn = _driver_chunk if entity == "driver" else _team_chunk
 
     totals = np.empty(config.n_sims, dtype=np.int64)
-    spans = list(_chunk_spans(config.n_sims))
-    if workers <= 1:
-        for index, start, stop in spans:
-            totals[start:stop] = chunk_fn(params, driver_class, config, index, stop - start)
-    else:
-        def run(span):
-            index, start, stop = span
-            return start, stop, chunk_fn(params, driver_class, config, index, stop - start)
 
+    def run(span):
+        index, start, stop = span
+        totals[start:stop] = _season_chunk(params, category, config, index, 0, stop - start)
+
+    spans = _chunk_spans(config.n_sims)
+    if workers <= 1:
+        for span in spans:
+            run(span)
+    else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for start, stop, chunk in pool.map(run, spans):
-                totals[start:stop] = chunk
+            list(pool.map(run, spans))
     return totals
 
 
@@ -213,36 +216,21 @@ def simulate_driver_season(params, driver_class, config, sim_index):
     """Points total of a single simulated driver season.
 
     Replays exactly the draws that season ``sim_index`` receives inside
-    a full ``season_totals`` run.
+    a full ``season_totals`` run, and draws nothing else.
     """
-    _check_sim_index(config, sim_index)
-    mu = params.class_mean(driver_class)
-    sigma = params.class_sigma(driver_class)
-    chunk_index, offset = divmod(sim_index, CHUNK_SIMS)
-    total = 0
-    for race in range(config.races):
-        z = _normal_chunk(config.master_seed, race, 0, chunk_index, offset + 1)[-1]
-        position = int(round_to_position(mu + sigma * z)[()])
-        total += int(_race_points(config, race)[position - 1])
-    return total
+    return _replay(params, f"{driver_class}_driver", config, sim_index)
 
 
 def simulate_team_season(params, driver_class, config, sim_index):
     """Points total of a single simulated team season (both cars)."""
-    _check_sim_index(config, sim_index)
-    chunk_index, offset = divmod(sim_index, CHUNK_SIMS)
-    total = 0
-    for race in range(config.races):
-        r1, r2 = _pair_ranks_chunk(params, driver_class, config, race, chunk_index, offset + 1)
-        points = _race_points(config, race)
-        total += int(points[int(round_to_position(r1[-1])[()]) - 1])
-        total += int(points[int(round_to_position(r2[-1])[()]) - 1])
-    return total
+    return _replay(params, f"{driver_class}_team", config, sim_index)
 
 
-def _check_sim_index(config, sim_index):
+def _replay(params, category, config, sim_index):
     if not (isinstance(sim_index, (int, np.integer)) and 0 <= sim_index < config.n_sims):
         raise ValueError(f"sim_index must lie in [0, {config.n_sims})")
+    chunk_index, offset = divmod(int(sim_index), CHUNK_SIMS)
+    return int(_season_chunk(params, category, config, chunk_index, offset, 1)[0])
 
 
 def summarize(category, config, params=None, workers=1):
@@ -292,21 +280,15 @@ def rookie_benchmark(base):
     )
 
 
-def sample_positions(params, driver_class, config, race=0, workers=1):
+def sample_positions(params, driver_class, config, race=0):
     """Rounded finishing positions of one race across all simulations.
 
     Returns an int64 array of length ``config.n_sims`` holding the
     position that each simulated season records in the given race.
     Useful for checking the simulator against the analytic bins.
     """
-    mu = params.class_mean(driver_class)
-    sigma = params.class_sigma(driver_class)
-    _check_race(config, race)
-    out = np.empty(config.n_sims, dtype=np.int64)
-    for index, start, stop in _chunk_spans(config.n_sims):
-        z = _normal_chunk(config.master_seed, race, 0, index, stop - start)
-        out[start:stop] = round_to_position(mu + sigma * z)
-    return out
+    (ranks,) = _sample_race(params, driver_class, config, race, 1)
+    return round_to_position(ranks)
 
 
 def sample_pair_ranks(params, driver_class, config, race=0):
@@ -316,19 +298,18 @@ def sample_pair_ranks(params, driver_class, config, race=0):
     the pair-sum boundary conditions and the within-team correlation
     are defined.
     """
-    _check_race(config, race)
-    r1 = np.empty(config.n_sims, dtype=np.float64)
-    r2 = np.empty(config.n_sims, dtype=np.float64)
-    for index, start, stop in _chunk_spans(config.n_sims):
-        a, b = _pair_ranks_chunk(params, driver_class, config, race, index, stop - start)
-        r1[start:stop] = a
-        r2[start:stop] = b
+    r1, r2 = _sample_race(params, driver_class, config, race, 2)
     return r1, r2
 
 
-def _check_race(config, race):
+def _sample_race(params, driver_class, config, race, cars):
     if not 0 <= race < config.races:
         raise ValueError(f"race index must lie in [0, {config.races})")
+    ranks = np.empty((cars, config.n_sims), dtype=np.float64)
+    for index, start, stop in _chunk_spans(config.n_sims):
+        ranks[:, start:stop] = _race_ranks(params, driver_class, config, race, cars,
+                                           index, 0, stop - start)
+    return ranks
 
 
 def _cache_key(config):

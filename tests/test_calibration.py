@@ -9,6 +9,7 @@ from f1bench.calibration import (
     calibration_residuals, canonical_scenario, make_params,
 )
 from f1bench.normal import std_normal_cdf
+from f1bench.simulate import SeasonConfig
 
 # The four calibrated constants, frozen from an independent mpmath
 # solve of the defining equations (50 significant digits).
@@ -100,10 +101,13 @@ def test_make_params_dominant_shifts_only_the_elite_mean():
     assert dominant.cov_nonelite_pair == base.cov_nonelite_pair
 
 
-def test_make_params_rookie_shares_baseline():
-    # the rookie adjustment halves benchmarks downstream; the model
-    # itself is the baseline one
-    assert make_params("rookie") == make_params("baseline")
+def test_rookie_is_not_a_scenario():
+    # the rookie rule halves summaries downstream (rookie_benchmark);
+    # it is not a parameter scenario
+    with pytest.raises(ValueError):
+        make_params("rookie")
+    with pytest.raises(ValueError):
+        SeasonConfig(scenario="rookie")
 
 
 def test_scenario_alias():

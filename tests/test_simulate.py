@@ -5,6 +5,7 @@ every assertion is deterministic; the tolerances leave several
 standard errors of headroom at that sample size.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -61,6 +62,14 @@ def test_race_format_order():
     assert _race_points(config, 1)[0] == 25
     assert _race_points(config, 2)[0] == 8
     assert config.races == 3
+
+
+def test_uniform_offset_is_tail_of_full_draw():
+    # offsets cover every residue mod 4 and the last season of a chunk
+    full = _uniform_chunk(DEFAULT_SEED, 3, 1, 2, CHUNK_SIMS + 5)
+    for offset in [*range(9), CHUNK_SIMS - 1]:
+        tail = _uniform_chunk(DEFAULT_SEED, 3, 1, 2, 6, offset)
+        assert (tail == full[offset:offset + 6]).all(), offset
 
 
 def test_uniform_draws_are_open_interval():
@@ -134,6 +143,25 @@ def test_prefix_property():
     assert (large[:5_000] == small).all()
 
 
+# sha256 of each category's season_totals as little-endian int64 bytes
+# at seed 2025, baseline.  300000 seasons span two full chunks and end
+# in a partial one, so chunk edges are part of the check.
+GOLDEN_DIGESTS = {
+    "elite_driver": "40f13de8bb1f571f3650cce8a85ffcce4ed779c15b9359262dba993357b1481a",
+    "elite_team": "f222fd1f4e5ab969d1464a3ce41baef2d8078291f48739d24ecca65eb32ca171",
+    "nonelite_driver": "5501537745e7da5251a3128d2b946eea87eaa2f529775e7c4b47a3614c60963e",
+    "nonelite_team": "071f595a1d9210a63034785507cb2aaf67770649dc78ec8315e2de74e5cb15eb",
+}
+
+
+def test_golden_digests():
+    config = SeasonConfig(n_sims=300_000, master_seed=2025)
+    for category in CATEGORIES:
+        totals = season_totals(category, config, params=PARAMS, workers=2)
+        digest = hashlib.sha256(np.asarray(totals, dtype="<i8").tobytes()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[category], category
+
+
 def test_single_season_replay_matches_batch():
     config = SeasonConfig(races_full=2, races_sprint=1, n_sims=CHUNK_SIMS + 3)
     totals = season_totals("elite_driver", config)
@@ -181,6 +209,19 @@ def test_law_equivalence():
         freq = np.bincount(positions, minlength=21)[1:] / STAT_CONFIG.n_sims
         analytic = position_distribution(PARAMS, driver_class)
         assert np.abs(freq - analytic).max() <= 0.005
+
+
+def test_one_race_samples_score_like_season_totals():
+    # with a single race, the sampled race is the whole season
+    config = SeasonConfig(races_full=1, races_sprint=0, n_sims=CHUNK_SIMS + 1000)
+    points = _race_points(config, 0)
+    for driver_class in ("elite", "nonelite"):
+        positions = sample_positions(PARAMS, driver_class, config)
+        assert (points[positions - 1]
+                == season_totals(f"{driver_class}_driver", config)).all()
+        r1, r2 = sample_pair_ranks(PARAMS, driver_class, config)
+        team = points[round_to_position(r1) - 1] + points[round_to_position(r2) - 1]
+        assert (team == season_totals(f"{driver_class}_team", config)).all()
 
 
 def test_raw_elite_mean():
