@@ -8,6 +8,7 @@ the code, since the set of front-running teams changes over the years.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -49,6 +50,8 @@ class SeasonRecord:
             )
         if self.entity == "driver" and not self.team:
             raise ValueError(f"driver record {self.name!r} needs a team name")
+        if not math.isfinite(self.points):
+            raise ValueError(f"points must be finite, got {self.points!r}")
         if not self.points >= 0:
             raise ValueError(f"points must be non-negative, got {self.points!r}")
 

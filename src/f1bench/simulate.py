@@ -16,21 +16,30 @@ simulation indices.  A season's draws are therefore a pure function of
 the seed and its simulation index, so any partitioning of the chunks
 across workers (or none) yields bit-identical totals, and a single
 season can be replayed in isolation: Philox is counter-based, so the
-replay skips straight to that season's draws.  Normal deviates are
-produced by inverse transform through ``std_normal_quantile``, keeping
-all normality on one accuracy-audited path.
+replay skips straight to that season's draws.
+
+Normal deviates are produced by inverse transform.  A position depends
+on its draw only through the rounded rank, so positions are decided
+from Acklam's start, the first step of ``std_normal_quantile``, without
+its Newton polish.  Draws that put a rank within ``_EDGE_MARGIN`` of a
+bin edge (a few per million) are redone through the full polished
+quantile.  The margin is more than 15 times the start's worst error,
+so every position, and hence every total, is the one the polished
+path gives.  Raw ranks (``sample_pair_ranks``) always take that path.
 """
 
 import json
 import math
 import os
+import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import canonical_scenario, make_params
-from .normal import std_normal_quantile
+from .normal import _acklam, std_normal_quantile
 from .probabilities import FULL_RACE_POINTS, SPRINT_POINTS
 
 __all__ = [
@@ -47,6 +56,16 @@ DEFAULT_SEED = 2025
 # Uniform draws are floored at 2^-53 so the inverse transform never
 # sees an exact zero.
 _UNIFORM_FLOOR = 2.0 ** -53
+# Positions are decided from Acklam's start without the Newton polish,
+# except within this distance of a bin edge k + 0.5.  Acklam's relative
+# error is below 1.15e-9 and |z| < 8.3 for uniforms in [2^-53, 1), so
+# the unpolished z lies within 1e-8 of the polished one.  A rank
+# mu + sigma*z1, or a teammate's mu + rho*sigma*z1 + sigma*sqrt(1 - rho^2)*z2,
+# then moves by at most sqrt(2)*sigma*1e-8 < 6e-8 for the calibrated
+# sigma_max = 3.62.  A rank farther than the margin from every edge
+# rounds to the same position either way; the margin leaves more than
+# 15x headroom, and stays sufficient for any sigma below 70.
+_EDGE_MARGIN = 1e-6
 
 CATEGORIES = ("elite_driver", "elite_team", "nonelite_driver", "nonelite_team")
 
@@ -138,30 +157,57 @@ def _race_points(config, race):
     return _FULL_PTS if race < config.races_full else _SPRINT_PTS
 
 
-def _race_ranks(params, driver_class, config, race, cars, chunk_index, offset, count):
-    """Raw (unrounded) ranks of one race for seasons ``offset .. offset + count``.
+def _race_uniforms(config, race, cars, chunk_index, offset, count):
+    """One race's uniforms for seasons ``offset .. offset + count``, one array per car."""
+    return [
+        _uniform_chunk(config.master_seed, race, car, chunk_index, count, offset)
+        for car in range(cars)
+    ]
 
-    Returns a tuple with one array per car: a lone driver when ``cars``
-    is 1, a teammate pair drawn from the bivariate model when it is 2.
+
+def _ranks(params, driver_class, z):
+    """Raw (unrounded) ranks from standard normal deviates, one per car.
+
+    A lone driver when ``z`` holds one array, a teammate pair drawn from
+    the bivariate model when it holds two.
     """
     mu = params.class_mean(driver_class)
     sigma = params.class_sigma(driver_class)
-    if cars == 2:
-        cov = params.class_cov(driver_class)
-        if not abs(cov) < sigma * sigma:
-            raise ValueError("pair covariance matrix is not positive definite")
-    z = [
-        std_normal_quantile(
-            _uniform_chunk(config.master_seed, race, car, chunk_index, count, offset))
-        for car in range(cars)
-    ]
     r1 = mu + sigma * z[0]
-    if cars == 1:
+    if len(z) == 1:
         return (r1,)
+    cov = params.class_cov(driver_class)
+    if not abs(cov) < sigma * sigma:
+        raise ValueError("pair covariance matrix is not positive definite")
     rho = cov / (sigma * sigma)
     # conditional factorization of the bivariate normal
     r2 = mu + rho * sigma * z[0] + sigma * math.sqrt(1.0 - rho * rho) * z[1]
     return r1, r2
+
+
+def _race_ranks(params, driver_class, uniforms):
+    """Raw ranks through the polished quantile ``std_normal_quantile``."""
+    return _ranks(params, driver_class, [std_normal_quantile(u) for u in uniforms])
+
+
+def _race_positions(params, driver_class, uniforms):
+    """Finishing positions in 1..20, one int64 array per car.
+
+    Positions are read off ranks built from Acklam's start alone.  Only
+    the draws that put some car within ``_EDGE_MARGIN`` of a bin edge
+    are redone through ``_race_ranks``, so every position equals the
+    rounded polished rank.
+    """
+    ranks = _ranks(params, driver_class, [_acklam(u) for u in uniforms])
+    near = np.zeros(len(uniforms[0]), dtype=bool)
+    for r in ranks:
+        near |= np.abs(r - np.floor(r) - 0.5) < _EDGE_MARGIN
+    positions = [round_to_position(r) for r in ranks]
+    if near.any():
+        polished = _race_ranks(params, driver_class, [u[near] for u in uniforms])
+        for position, r in zip(positions, polished):
+            position[near] = round_to_position(r)
+    return positions
 
 
 def _season_chunk(params, category, config, chunk_index, offset, count):
@@ -171,9 +217,9 @@ def _season_chunk(params, category, config, chunk_index, offset, count):
     totals = np.zeros(count, dtype=np.int64)
     for race in range(config.races):
         points = _race_points(config, race)
-        for ranks in _race_ranks(params, driver_class, config, race, cars,
-                                 chunk_index, offset, count):
-            totals += points[round_to_position(ranks) - 1]
+        uniforms = _race_uniforms(config, race, cars, chunk_index, offset, count)
+        for position in _race_positions(params, driver_class, uniforms):
+            totals += points[position - 1]
     return totals
 
 
@@ -287,8 +333,8 @@ def sample_positions(params, driver_class, config, race=0):
     position that each simulated season records in the given race.
     Useful for checking the simulator against the analytic bins.
     """
-    (ranks,) = _sample_race(params, driver_class, config, race, 1)
-    return round_to_position(ranks)
+    (positions,) = _sample_race(_race_positions, params, driver_class, config, race, 1)
+    return positions
 
 
 def sample_pair_ranks(params, driver_class, config, race=0):
@@ -298,18 +344,18 @@ def sample_pair_ranks(params, driver_class, config, race=0):
     the pair-sum boundary conditions and the within-team correlation
     are defined.
     """
-    r1, r2 = _sample_race(params, driver_class, config, race, 2)
+    r1, r2 = _sample_race(_race_ranks, params, driver_class, config, race, 2)
     return r1, r2
 
 
-def _sample_race(params, driver_class, config, race, cars):
+def _sample_race(step, params, driver_class, config, race, cars):
+    """``step``'s per-car arrays for one race, joined over every chunk."""
     if not 0 <= race < config.races:
         raise ValueError(f"race index must lie in [0, {config.races})")
-    ranks = np.empty((cars, config.n_sims), dtype=np.float64)
-    for index, start, stop in _chunk_spans(config.n_sims):
-        ranks[:, start:stop] = _race_ranks(params, driver_class, config, race, cars,
-                                           index, 0, stop - start)
-    return ranks
+    return np.concatenate([
+        step(params, driver_class, _race_uniforms(config, race, cars, index, 0, stop - start))
+        for index, start, stop in _chunk_spans(config.n_sims)
+    ], axis=1)
 
 
 def _cache_key(config):
@@ -319,30 +365,58 @@ def _cache_key(config):
     )
 
 
-def load_cached_summaries(path, config):
-    """Load summaries for a configuration from a cache file, or None."""
-    if not path or not os.path.exists(path):
-        return None
+def _read_cache(path):
+    """The cache file's JSON object; ``ValueError`` if it is not one."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    entry = payload.get(_cache_key(config))
-    if entry is None:
+    if not isinstance(payload, dict):
+        raise ValueError("top level is not a JSON object")
+    return payload
+
+
+def load_cached_summaries(path, config):
+    """Load summaries for a configuration from a cache file, or None.
+
+    An unreadable cache file is a miss: a warning naming the file goes
+    to stderr, and the caller recomputes and rewrites it.
+    """
+    if not path or not os.path.exists(path):
         return None
-    return {
-        category: SimulationSummary(**fields)
-        for category, fields in entry.items()
-    }
+    try:
+        entry = _read_cache(path).get(_cache_key(config))
+        if entry is None:
+            return None
+        return {
+            category: SimulationSummary(**fields)
+            for category, fields in entry.items()
+        }
+    except (AttributeError, TypeError, ValueError) as exc:
+        print(f"f1bench: warning: ignoring unreadable summary cache {path}: {exc}",
+              file=sys.stderr)
+        return None
 
 
 def store_summaries(path, config, summaries):
-    """Store summaries for a configuration, merging with existing entries."""
-    payload = {}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
+    """Store summaries for a configuration, merging with existing entries.
+
+    An unreadable existing file is replaced.  The new contents go to a
+    temporary file in the same directory that is then renamed over
+    ``path``, so a reader sees either the old file or the new one.
+    """
+    try:
+        payload = _read_cache(path)
+    except (FileNotFoundError, ValueError):
+        payload = {}
     payload[_cache_key(config)] = {
         category: summary.as_dict() for category, summary in summaries.items()
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    fd, temp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                     prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        os.replace(temp_path, path)
+    except BaseException:
+        os.unlink(temp_path)
+        raise

@@ -175,6 +175,13 @@ def test_ingest_rejects_negative_points():
         ingest_results(io.StringIO(text))
 
 
+def test_ingest_rejects_non_finite_points():
+    for value in ("inf", "-inf", "nan"):
+        text = f"name,team,class,points,entity\nX,T,elite,{value},driver\n"
+        with pytest.raises(ValueError, match="line 2: points must be finite"):
+            ingest_results(io.StringIO(text))
+
+
 def test_ingest_rejects_unknown_class_and_entity():
     bad_class = "name,team,class,points,entity\nA,B,legend,5,driver\n"
     with pytest.raises(ValueError, match="line 2"):

@@ -216,6 +216,22 @@ def test_simulate_cache_round_trip(tmp_path, capsys):
         assert len(json.load(handle)) == 1
 
 
+def test_corrupt_cache_is_recomputed_and_rewritten(tmp_path, capsys):
+    path = tmp_path / "cache.json"
+    argv = ["simulate", "--cache", str(path)] + SMALL
+    _, expected, _ = run_cli(capsys, ["simulate"] + SMALL)
+    path.write_text('{"seed=2025,sims=', encoding="utf-8")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert out == expected
+    assert "warning" in err and str(path) in err
+    assert len(json.loads(path.read_text(encoding="utf-8"))) == 1
+    # the rewritten file is a clean hit
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (0, expected)
+    assert "warning" not in err
+
+
 def test_benchmark_bundled_corpus(tmp_path, capsys):
     cache = str(tmp_path / "cache.json")
     store_summaries(cache, SeasonConfig(), FULL_SCALE_SUMMARIES)
@@ -277,6 +293,19 @@ def test_benchmark_malformed_file_names_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["benchmark", str(results)] + SMALL)
     assert code == 1
     assert "line 2" in err
+
+
+def test_benchmark_rejects_infinite_points(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "name,team,class,points,entity\n"
+        "X,T,elite,inf,driver\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, ["benchmark", str(results)] + SMALL)
+    assert code == 1
+    assert out == ""
+    assert "line 2: points must be finite" in err
 
 
 def test_version_flag(capsys):

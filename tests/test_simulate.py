@@ -7,11 +7,14 @@ standard errors of headroom at that sample size.
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from f1bench import simulate
 from f1bench.calibration import make_params
+from f1bench.normal import _acklam, std_normal_cdf, std_normal_quantile
 from f1bench.probabilities import position_distribution
 from f1bench.simulate import (
     CATEGORIES, CHUNK_SIMS, DEFAULT_SEED, SCENARIO_SEASONS,
@@ -20,7 +23,9 @@ from f1bench.simulate import (
     sample_positions, season_totals, simulate_driver_season,
     simulate_team_season, store_summaries, summarize, summarize_all,
 )
-from f1bench.simulate import _race_points, _uniform_chunk
+from f1bench.simulate import (
+    _EDGE_MARGIN, _race_points, _race_positions, _race_ranks, _ranks, _uniform_chunk,
+)
 
 PARAMS = make_params()
 STAT_CONFIG = SeasonConfig(n_sims=200_000)
@@ -144,22 +149,93 @@ def test_prefix_property():
 
 
 # sha256 of each category's season_totals as little-endian int64 bytes
-# at seed 2025, baseline.  300000 seasons span two full chunks and end
-# in a partial one, so chunk edges are part of the check.
+# at seed 2025, for the baseline (24 + 6 races) and dominant (18 + 6
+# races, elite mean 5.5) seasons.  300000 seasons span two full chunks
+# and end in a partial one, so chunk edges are part of the check.
 GOLDEN_DIGESTS = {
-    "elite_driver": "40f13de8bb1f571f3650cce8a85ffcce4ed779c15b9359262dba993357b1481a",
-    "elite_team": "f222fd1f4e5ab969d1464a3ce41baef2d8078291f48739d24ecca65eb32ca171",
-    "nonelite_driver": "5501537745e7da5251a3128d2b946eea87eaa2f529775e7c4b47a3614c60963e",
-    "nonelite_team": "071f595a1d9210a63034785507cb2aaf67770649dc78ec8315e2de74e5cb15eb",
+    "baseline": {
+        "elite_driver": "40f13de8bb1f571f3650cce8a85ffcce4ed779c15b9359262dba993357b1481a",
+        "elite_team": "f222fd1f4e5ab969d1464a3ce41baef2d8078291f48739d24ecca65eb32ca171",
+        "nonelite_driver": "5501537745e7da5251a3128d2b946eea87eaa2f529775e7c4b47a3614c60963e",
+        "nonelite_team": "071f595a1d9210a63034785507cb2aaf67770649dc78ec8315e2de74e5cb15eb",
+    },
+    "dominant": {
+        "elite_driver": "b57eef18f50532cb45b5c3b3cc0958f6a52c07aee12843cb92dab0079d92c809",
+        "elite_team": "564175b21cc238cffeb0d4cc7c3d08784bd17c27cfa0e100846847bcba467a0a",
+        "nonelite_driver": "da85de821a307699701c21fa6a3b2545654e5b1aefb1afff262aace1bddcc4a1",
+        "nonelite_team": "3fd2a69b9b0c094ff2c723f66893c7f9cd2b07b0b37a738aaa365efea5dd1b6e",
+    },
 }
 
 
 def test_golden_digests():
-    config = SeasonConfig(n_sims=300_000, master_seed=2025)
-    for category in CATEGORIES:
-        totals = season_totals(category, config, params=PARAMS, workers=2)
-        digest = hashlib.sha256(np.asarray(totals, dtype="<i8").tobytes()).hexdigest()
-        assert digest == GOLDEN_DIGESTS[category], category
+    for scenario, digests in GOLDEN_DIGESTS.items():
+        full, sprint = SCENARIO_SEASONS[scenario]
+        config = SeasonConfig(races_full=full, races_sprint=sprint, n_sims=300_000,
+                              master_seed=2025, scenario=scenario)
+        params = make_params(scenario)
+        for category in CATEGORIES:
+            totals = season_totals(category, config, params=params, workers=2)
+            digest = hashlib.sha256(np.asarray(totals, dtype="<i8").tobytes()).hexdigest()
+            assert digest == digests[category], (scenario, category)
+
+
+def test_acklam_start_stays_within_margin():
+    # an unpolished rank must sit well inside the margin of the polished
+    # one, at the extreme uniforms and on both sides of Acklam's
+    # branch points as well as over a million ordinary draws
+    tiny = 2.0 ** -53
+    extremes = [tiny, 1.0 - tiny]
+    for point in (0.02425, 0.97575):
+        extremes += [np.nextafter(point, 0.0), point, np.nextafter(point, 1.0)]
+    for driver_class in ("elite", "nonelite"):
+        for cars in (1, 2):
+            uniforms = [np.concatenate([_uniform_chunk(DEFAULT_SEED, 0, car, 0, 1_000_000),
+                                        extremes]) for car in range(cars)]
+            start = _ranks(PARAMS, driver_class, [_acklam(u) for u in uniforms])
+            polished = _ranks(PARAMS, driver_class, [std_normal_quantile(u) for u in uniforms])
+            for r_start, r_polished in zip(start, polished):
+                assert np.abs(r_start - r_polished).max() < _EDGE_MARGIN / 10
+
+
+def _bin_edge_uniforms(params, driver_class):
+    """Uniforms whose polished rank lies on or a few ulps off each bin edge."""
+    mu = params.class_mean(driver_class)
+    sigma = params.class_sigma(driver_class)
+    edges = std_normal_cdf((np.arange(1, 20) + 0.5 - mu) / sigma)
+    return (edges[:, None] + np.arange(-3, 4) * 2.0 ** -53).ravel()
+
+
+def test_near_edge_draws_take_polished_path(monkeypatch):
+    polished_quantile = std_normal_quantile
+    sizes = []
+
+    def counting_quantile(p):
+        sizes.append(len(p))
+        return polished_quantile(p)
+
+    for params in (PARAMS, make_params("dominant")):
+        for driver_class in ("elite", "nonelite"):
+            edge = _bin_edge_uniforms(params, driver_class)
+            other = _uniform_chunk(DEFAULT_SEED, 0, 1, 0, len(edge))
+            for uniforms in ([edge], [edge, other]):
+                expected = [round_to_position(r)
+                            for r in _race_ranks(params, driver_class, uniforms)]
+                sizes.clear()
+                monkeypatch.setattr(simulate, "std_normal_quantile", counting_quantile)
+                positions = _race_positions(params, driver_class, uniforms)
+                monkeypatch.undo()
+                # every draw sits at an edge, so every draw was polished
+                assert sizes == [len(edge)] * len(uniforms)
+                for got, want in zip(positions, expected):
+                    assert (got == want).all()
+
+
+def test_positions_step_rejects_non_positive_definite_covariance():
+    fake = FlatParams(cov=-(2.607903347606801 ** 2))
+    uniforms = [np.full(4, 0.3), np.full(4, 0.6)]
+    with pytest.raises(ValueError, match="positive definite"):
+        _race_positions(fake, "elite", uniforms)
 
 
 def test_single_season_replay_matches_batch():
@@ -361,3 +437,45 @@ def test_summary_cache_merges_configs(tmp_path):
     store_summaries(path, second, summarize_all(second))
     assert load_cached_summaries(path, first) is not None
     assert load_cached_summaries(path, second) is not None
+
+
+def test_corrupt_summary_cache_is_a_miss(tmp_path, capsys):
+    path = str(tmp_path / "summaries.json")
+    config = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000)
+    for text in ('{"seed=2025', "[]"):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        assert load_cached_summaries(path, config) is None
+        assert path in capsys.readouterr().err
+    # storing over the unreadable file replaces it
+    summaries = summarize_all(config)
+    store_summaries(path, config, summaries)
+    assert load_cached_summaries(path, config) == summaries
+    assert capsys.readouterr().err == ""
+
+
+def test_summary_cache_write_leaves_no_temp_file(tmp_path):
+    path = str(tmp_path / "summaries.json")
+    first = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000)
+    second = SeasonConfig(races_full=1, races_sprint=1, n_sims=1_000)
+    store_summaries(path, first, summarize_all(first))
+    store_summaries(path, second, summarize_all(second))
+    assert os.listdir(tmp_path) == ["summaries.json"]
+
+
+def test_failed_summary_cache_write_keeps_old_file(tmp_path):
+    path = str(tmp_path / "summaries.json")
+    config = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000)
+    summaries = summarize_all(config)
+    store_summaries(path, config, summaries)
+    other = SeasonConfig(races_full=1, races_sprint=1, n_sims=1_000)
+
+    class Unserialisable:
+        def as_dict(self):
+            return {"mean_points": object()}
+
+    # json.dump fails after the temporary file is opened
+    with pytest.raises(TypeError):
+        store_summaries(path, other, {"elite_driver": Unserialisable()})
+    assert load_cached_summaries(path, config) == summaries
+    assert os.listdir(tmp_path) == ["summaries.json"]
