@@ -85,7 +85,7 @@ def _add_common(parser):
     parser.add_argument("--format", default=None, choices=FORMATS,
                         help="output format (default: csv; benchmark: md)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel chunk workers; has no effect on results")
+                        help="worker threads (at least 1); has no effect on results")
     parser.add_argument("--manifest", default=None, metavar="PATH",
                         help="write the run manifest JSON to PATH instead of stderr")
 
@@ -118,6 +118,8 @@ def build_parser():
 
 
 def _resolve_config(args):
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     scenario = canonical_scenario(args.scenario)
     default_full, default_sprint = SCENARIO_SEASONS[scenario]
     seed = args.seed if args.seed is not None else _default_seed()

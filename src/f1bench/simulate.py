@@ -11,12 +11,14 @@ comes from a Philox counter-based generator keyed by
 
     (master_seed, race_index, driver_index, chunk_index)
 
-where a chunk is a fixed block of ``CHUNK_SIMS`` consecutive
+where a chunk is a fixed run of ``CHUNK_SIMS`` consecutive
 simulation indices.  A season's draws are therefore a pure function of
-the seed and its simulation index, so any partitioning of the chunks
+the seed and its simulation index, so any partitioning of the seasons
 across workers (or none) yields bit-identical totals, and a single
 season can be replayed in isolation: Philox is counter-based, so the
-replay skips straight to that season's draws.
+replay skips straight to that season's draws.  The work is cut into
+blocks of ``_BLOCK_SIMS`` seasons inside a chunk, read through the same
+skip; a replay is a block of one season.
 
 Normal deviates are produced by inverse transform.  A position depends
 on its draw only through the rounded rank, so positions are decided
@@ -26,6 +28,13 @@ bin edge (a few per million) are redone through the full polished
 quantile.  The margin is more than 15 times the start's worst error,
 so every position, and hence every total, is the one the polished
 path gives.  Raw ranks (``sample_pair_ranks``) always take that path.
+
+The key holds no category, so all four categories read the same
+streams: both drivers' categories read car 0, and both teams' read
+cars 0 and 1.  ``summarize_all`` therefore runs one pass that draws
+each race's uniforms, and computes their Acklam start, once per car for
+all four categories; the near-edge polish stays per category.  Each
+block's totals are reduced at once to a histogram per category.
 """
 
 import json
@@ -52,6 +61,11 @@ __all__ = [
 ]
 
 CHUNK_SIMS = 1 << 17
+# Seasons are simulated in blocks of this many: a block's per-race
+# arrays (128 KiB each) stay in cache, and each block reduces to small
+# histograms at once.  It divides CHUNK_SIMS, so no block straddles two
+# chunks' streams.
+_BLOCK_SIMS = 1 << 14
 DEFAULT_SEED = 2025
 # Uniform draws are floored at 2^-53 so the inverse transform never
 # sees an exact zero.
@@ -157,8 +171,18 @@ def _race_points(config, race):
     return _FULL_PTS if race < config.races_full else _SPRINT_PTS
 
 
-def _race_uniforms(config, race, cars, chunk_index, offset, count):
-    """One race's uniforms for seasons ``offset .. offset + count``, one array per car."""
+def _category_kind(category):
+    """(driver class, cars) of a category; teams score two cars."""
+    driver_class, entity = category.rsplit("_", 1)
+    return driver_class, 1 if entity == "driver" else 2
+
+
+def _race_uniforms(config, race, cars, start, count):
+    """One race's uniforms for seasons ``start .. start + count``, one array per car.
+
+    The seasons must lie in one chunk.
+    """
+    chunk_index, offset = divmod(start, CHUNK_SIMS)
     return [
         _uniform_chunk(config.master_seed, race, car, chunk_index, count, offset)
         for car in range(cars)
@@ -190,15 +214,18 @@ def _race_ranks(params, driver_class, uniforms):
     return _ranks(params, driver_class, [std_normal_quantile(u) for u in uniforms])
 
 
-def _race_positions(params, driver_class, uniforms):
+def _race_positions(params, driver_class, uniforms, z=None):
     """Finishing positions in 1..20, one int64 array per car.
 
-    Positions are read off ranks built from Acklam's start alone.  Only
-    the draws that put some car within ``_EDGE_MARGIN`` of a bin edge
-    are redone through ``_race_ranks``, so every position equals the
-    rounded polished rank.
+    Positions are read off ranks built from Acklam's start ``z`` of each
+    car's uniforms alone (computed here unless the caller shares it).
+    Only the draws that put some car within ``_EDGE_MARGIN`` of a bin
+    edge are redone through ``_race_ranks``, so every position equals
+    the rounded polished rank.
     """
-    ranks = _ranks(params, driver_class, [_acklam(u) for u in uniforms])
+    if z is None:
+        z = [_acklam(u) for u in uniforms]
+    ranks = _ranks(params, driver_class, z)
     near = np.zeros(len(uniforms[0]), dtype=bool)
     for r in ranks:
         near |= np.abs(r - np.floor(r) - 0.5) < _EDGE_MARGIN
@@ -210,51 +237,74 @@ def _race_positions(params, driver_class, uniforms):
     return positions
 
 
-def _season_chunk(params, category, config, chunk_index, offset, count):
-    """Season totals of seasons ``offset .. offset + count`` of one chunk."""
-    driver_class, entity = category.rsplit("_", 1)
-    cars = 1 if entity == "driver" else 2
-    totals = np.zeros(count, dtype=np.int64)
+def _season_block(params, categories, config, start, count):
+    """Season totals of seasons ``start .. start + count``, one array per category.
+
+    The seasons must lie in one chunk.  The Philox key holds no
+    category, so every category reads the same per-car streams: each
+    race's uniforms and their Acklam start are computed once, for as
+    many cars as the categories need, and shared.
+    """
+    kinds = [_category_kind(category) for category in categories]
+    cars = max(n for _, n in kinds)
+    totals = [np.zeros(count, dtype=np.int64) for _ in categories]
     for race in range(config.races):
         points = _race_points(config, race)
-        uniforms = _race_uniforms(config, race, cars, chunk_index, offset, count)
-        for position in _race_positions(params, driver_class, uniforms):
-            totals += points[position - 1]
+        uniforms = _race_uniforms(config, race, cars, start, count)
+        z = [_acklam(u) for u in uniforms]
+        for total, (driver_class, n) in zip(totals, kinds):
+            for position in _race_positions(params, driver_class, uniforms[:n], z[:n]):
+                total += points[position - 1]
     return totals
 
 
-def _chunk_spans(n_sims):
-    n_chunks = (n_sims + CHUNK_SIMS - 1) // CHUNK_SIMS
-    for index in range(n_chunks):
-        start = index * CHUNK_SIMS
-        yield index, start, min(start + CHUNK_SIMS, n_sims)
+def _block_spans(n_sims):
+    """(start, count) of each block of seasons in ``0 .. n_sims``."""
+    for start in range(0, n_sims, _BLOCK_SIMS):
+        yield start, min(_BLOCK_SIMS, n_sims - start)
+
+
+def _check_run(categories, workers):
+    for category in categories:
+        if category not in CATEGORIES:
+            raise ValueError(f"unknown category {category!r}; expected one of {CATEGORIES}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
+def _map_blocks(run, n_sims, workers):
+    """Yield ``run(start, count)`` of every block of seasons, in block order.
+
+    The blocks run on up to ``workers`` threads; their results are
+    yielded in the calling thread.
+    """
+    spans = list(_block_spans(n_sims))
+    if workers == 1 or len(spans) == 1:
+        for span in spans:
+            yield run(*span)
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, len(spans))) as pool:
+            yield from pool.map(run, *zip(*spans))
 
 
 def season_totals(category, config, params=None, workers=1):
     """Simulate every season total for a category as an int64 array.
 
     The result depends only on the category, the configuration and the
-    parameters, never on ``workers``: chunks are computed independently
+    parameters, never on ``workers``: blocks are computed independently
     and written back by index.
     """
-    if category not in CATEGORIES:
-        raise ValueError(f"unknown category {category!r}; expected one of {CATEGORIES}")
+    _check_run((category,), workers)
     if params is None:
         params = make_params(config.scenario)
 
     totals = np.empty(config.n_sims, dtype=np.int64)
 
-    def run(span):
-        index, start, stop = span
-        totals[start:stop] = _season_chunk(params, category, config, index, 0, stop - start)
+    def run(start, count):
+        totals[start:start + count] = _season_block(params, (category,), config, start, count)[0]
 
-    spans = _chunk_spans(config.n_sims)
-    if workers <= 1:
-        for span in spans:
-            run(span)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, spans))
+    for _ in _map_blocks(run, config.n_sims, workers):
+        pass
     return totals
 
 
@@ -275,8 +325,8 @@ def simulate_team_season(params, driver_class, config, sim_index):
 def _replay(params, category, config, sim_index):
     if not (isinstance(sim_index, (int, np.integer)) and 0 <= sim_index < config.n_sims):
         raise ValueError(f"sim_index must lie in [0, {config.n_sims})")
-    chunk_index, offset = divmod(int(sim_index), CHUNK_SIMS)
-    return int(_season_chunk(params, category, config, chunk_index, offset, 1)[0])
+    (totals,) = _season_block(params, (category,), config, int(sim_index), 1)
+    return int(totals[0])
 
 
 def summarize(category, config, params=None, workers=1):
@@ -286,26 +336,57 @@ def summarize(category, config, params=None, workers=1):
     endpoints are the empirical 2.5th and 97.5th percentiles, reported
     as attained sample values (hence integers).
     """
+    if params is None:
+        params = make_params(config.scenario)
+    return _summaries((category,), config, params, workers)[category]
+
+
+def summarize_all(config, workers=1):
+    """Summaries for all four categories as a dict keyed by category."""
+    return _summaries(CATEGORIES, config, make_params(config.scenario), workers)
+
+
+def _summaries(categories, config, params, workers):
+    """``summarize`` for several categories in one pass over the blocks.
+
+    Each block's totals are reduced at once to one histogram per
+    category, and the histograms are summed in the calling thread, so
+    no ``n_sims``-long array is held for more than one category at a
+    time.  Integer counts are exact, so the summaries equal those of
+    ``season_totals`` bit for bit.
+    """
     if config.n_sims < 40:
         raise ValueError("n_sims must be at least 40 for meaningful 95% percentiles")
-    totals = season_totals(category, config, params=params, workers=workers)
+    _check_run(categories, workers)
+    # a driver's highest total is a win in every race
+    top = config.races_full * int(_FULL_PTS[0]) + config.races_sprint * int(_SPRINT_PTS[0])
+    sizes = [cars * top + 1 for _, cars in map(_category_kind, categories)]
+
+    def run(start, count):
+        block = _season_block(params, categories, config, start, count)
+        return [np.bincount(totals, minlength=size) for totals, size in zip(block, sizes)]
+
+    counts = [np.zeros(size, dtype=np.int64) for size in sizes]
+    for block_counts in _map_blocks(run, config.n_sims, workers):
+        for total, block_count in zip(counts, block_counts):
+            total += block_count
+    return {
+        category: _summary(category, count, config.n_sims)
+        for category, count in zip(categories, counts)
+    }
+
+
+def _summary(category, counts, n_sims):
+    """The ``SimulationSummary`` of the season totals that ``counts`` histograms."""
+    totals = np.repeat(np.arange(len(counts)), counts)
     low, high = np.percentile(totals, [2.5, 97.5], method="inverted_cdf")
     return SimulationSummary(
         category=category,
         mean_points=float(totals.mean()),
         ci_low=float(low),
         ci_high=float(high),
-        n_sims=config.n_sims,
+        n_sims=n_sims,
     )
-
-
-def summarize_all(config, workers=1):
-    """Summaries for all four categories as a dict keyed by category."""
-    params = make_params(config.scenario)
-    return {
-        category: summarize(category, config, params=params, workers=workers)
-        for category in CATEGORIES
-    }
 
 
 def rookie_benchmark(base):
@@ -349,12 +430,12 @@ def sample_pair_ranks(params, driver_class, config, race=0):
 
 
 def _sample_race(step, params, driver_class, config, race, cars):
-    """``step``'s per-car arrays for one race, joined over every chunk."""
+    """``step``'s per-car arrays for one race, joined over every block."""
     if not 0 <= race < config.races:
         raise ValueError(f"race index must lie in [0, {config.races})")
     return np.concatenate([
-        step(params, driver_class, _race_uniforms(config, race, cars, index, 0, stop - start))
-        for index, start, stop in _chunk_spans(config.n_sims)
+        step(params, driver_class, _race_uniforms(config, race, cars, start, count))
+        for start, count in _block_spans(config.n_sims)
     ], axis=1)
 
 

@@ -205,6 +205,15 @@ def test_invalid_sims_rejected(capsys):
     assert code == 1
 
 
+def test_invalid_workers_rejected(capsys):
+    for workers in ("0", "-3"):
+        code, out, err = run_cli(capsys, ["simulate", "--workers", workers] + SMALL)
+        assert code == 1
+        assert out == ""
+        # rejected before the manifest is written
+        assert err.splitlines() == [f"f1bench: error: --workers must be at least 1, got {workers}"]
+
+
 def test_simulate_cache_round_trip(tmp_path, capsys):
     path = str(tmp_path / "cache.json")
     argv = ["simulate", "--cache", path] + SMALL

@@ -14,7 +14,9 @@ import pytest
 
 from f1bench import simulate
 from f1bench.calibration import make_params
-from f1bench.normal import _acklam, std_normal_cdf, std_normal_quantile
+from f1bench.normal import (
+    _ACK_A, _ACK_B, _ACK_C, _ACK_D, _P_LOW, _acklam, std_normal_cdf, std_normal_quantile,
+)
 from f1bench.probabilities import position_distribution
 from f1bench.simulate import (
     CATEGORIES, CHUNK_SIMS, DEFAULT_SEED, SCENARIO_SEASONS,
@@ -24,7 +26,8 @@ from f1bench.simulate import (
     simulate_team_season, store_summaries, summarize, summarize_all,
 )
 from f1bench.simulate import (
-    _EDGE_MARGIN, _race_points, _race_positions, _race_ranks, _ranks, _uniform_chunk,
+    _BLOCK_SIMS, _EDGE_MARGIN, _race_points, _race_positions, _race_ranks, _ranks,
+    _uniform_chunk,
 )
 
 PARAMS = make_params()
@@ -139,6 +142,32 @@ def test_worker_count_does_not_change_totals():
         assert (season_totals("elite_driver", config, workers=workers) == serial).all()
 
 
+def test_invalid_worker_count_rejected():
+    config = SeasonConfig(races_full=1, races_sprint=0, n_sims=100)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            season_totals("elite_driver", config, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            summarize("elite_driver", config, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            summarize_all(config, workers=workers)
+
+
+def test_pool_is_no_larger_than_the_block_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool(simulate.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+    config = SeasonConfig(races_full=1, races_sprint=0, n_sims=_BLOCK_SIMS + 1)
+    season_totals("elite_driver", config, workers=8)
+    summarize_all(config, workers=8)
+    assert sizes == [2, 2]
+
+
 def test_prefix_property():
     # a shorter run is a prefix of a longer one with the same seed
     config_small = SeasonConfig(races_full=3, races_sprint=1, n_sims=5_000)
@@ -196,6 +225,43 @@ def test_acklam_start_stays_within_margin():
             polished = _ranks(PARAMS, driver_class, [std_normal_quantile(u) for u in uniforms])
             for r_start, r_polished in zip(start, polished):
                 assert np.abs(r_start - r_polished).max() < _EDGE_MARGIN / 10
+
+
+def _acklam_masked(p):
+    """Acklam's approximation with each branch evaluated on its own entries only."""
+    q = np.empty_like(p)
+    lo = p < _P_LOW
+    hi = p > 1.0 - _P_LOW
+    mid = ~(lo | hi)
+    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
+    if lo.any():
+        r = np.sqrt(-2.0 * np.log(p[lo]))
+        q[lo] = (((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]) / \
+                ((((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0)
+    if hi.any():
+        r = np.sqrt(-2.0 * np.log(1.0 - p[hi]))
+        q[hi] = -(((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]) / \
+                ((((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0)
+    if mid.any():
+        r = p[mid] - 0.5
+        s = r * r
+        q[mid] = (((((a[0] * s + a[1]) * s + a[2]) * s + a[3]) * s + a[4]) * s + a[5]) * r / \
+                 (((((b[0] * s + b[1]) * s + b[2]) * s + b[3]) * s + b[4]) * s + 1.0)
+    return q
+
+
+def test_acklam_equals_masked_reference():
+    tiny = 2.0 ** -53
+    extremes = [tiny, 1.0 - tiny]
+    for point in (_P_LOW, 1.0 - _P_LOW):
+        extremes += [np.nextafter(point, 0.0), point, np.nextafter(point, 1.0)]
+    p = np.concatenate([_uniform_chunk(DEFAULT_SEED, 0, 0, 0, 100_000), extremes])
+    with np.errstate(all="raise"):
+        assert _acklam(p).tobytes() == _acklam_masked(p).tobytes()
+        # one-element arrays, as a replay passes, take a single branch each
+        for value in extremes:
+            one = np.array([value])
+            assert _acklam(one).tobytes() == _acklam_masked(one).tobytes(), value
 
 
 def _bin_edge_uniforms(params, driver_class):
@@ -356,6 +422,32 @@ def test_summarize_fields():
     assert summary.ci_low == int(summary.ci_low)
     assert summary.ci_high == int(summary.ci_high)
     assert np.isin([summary.ci_low, summary.ci_high], totals).all()
+
+
+def _summary_of(category, totals):
+    low, high = np.percentile(totals, [2.5, 97.5], method="inverted_cdf")
+    return SimulationSummary(category, float(totals.mean()), float(low), float(high), totals.size)
+
+
+def test_summaries_equal_summaries_of_season_totals():
+    # chunk edges and block edges both fall inside the run, and it ends
+    # in a partial block
+    n_sims = 2 * CHUNK_SIMS + 3 * _BLOCK_SIMS + 5
+    for scenario in ("baseline", "dominant"):
+        full, sprint = SCENARIO_SEASONS[scenario]
+        config = SeasonConfig(races_full=full, races_sprint=sprint, n_sims=n_sims,
+                              scenario=scenario)
+        params = make_params(scenario)
+        expected = {
+            category: _summary_of(category, season_totals(category, config, params=params,
+                                                          workers=2))
+            for category in CATEGORIES
+        }
+        for workers in (1, 3):
+            assert summarize_all(config, workers=workers) == expected, (scenario, workers)
+            for category in CATEGORIES:
+                got = summarize(category, config, params=params, workers=workers)
+                assert got == expected[category], (scenario, category, workers)
 
 
 def test_summarize_rejects_tiny_samples():
