@@ -9,7 +9,7 @@ intervals, and classifies actual season results against them.
 
 from .benchmark import (
     SeasonRecord, Verdict, classify, classify_season, ingest_results,
-    load_bundled_results, team_records_from_drivers,
+    load_bundled_results,
 )
 from .calibration import (
     ModelParams, calibrate_cov_elite, calibrate_cov_nonelite,
@@ -17,8 +17,8 @@ from .calibration import (
 )
 from .normal import std_normal_cdf, std_normal_quantile
 from .probabilities import (
-    PointsTable, aggregate_probability, expected_season_points,
-    position_distribution, position_probability,
+    aggregate_probability, expected_season_points, position_distribution,
+    position_probability,
 )
 from .simulate import (
     SeasonConfig, SimulationSummary, rookie_benchmark,
@@ -32,11 +32,11 @@ __all__ = [
     "ModelParams", "make_params",
     "calibrate_sigma_elite", "calibrate_sigma_nonelite",
     "calibrate_cov_elite", "calibrate_cov_nonelite",
-    "PointsTable", "position_probability", "position_distribution",
+    "position_probability", "position_distribution",
     "aggregate_probability", "expected_season_points",
     "SeasonConfig", "SimulationSummary", "simulate_driver_season",
     "simulate_team_season", "summarize", "summarize_all", "rookie_benchmark",
     "SeasonRecord", "Verdict", "classify", "classify_season",
-    "ingest_results", "team_records_from_drivers", "load_bundled_results",
+    "ingest_results", "load_bundled_results",
     "__version__",
 ]

@@ -17,7 +17,7 @@ from .calibration import DRIVER_CLASSES
 __all__ = [
     "ENTITIES", "OUTCOMES", "ARROWS", "CSV_FIELDS",
     "SeasonRecord", "Verdict", "classify", "classify_season",
-    "ingest_results", "team_records_from_drivers", "load_bundled_results",
+    "ingest_results", "load_bundled_results",
     "markdown_report", "verdict_rows",
 ]
 
@@ -154,35 +154,6 @@ def ingest_results(source):
         seen.add(key)
         records.append(record)
     return records
-
-
-def team_records_from_drivers(records):
-    """Aggregate driver records into team records (two drivers per team).
-
-    Team points are the exact sum of the two drivers' points; the team
-    inherits the drivers' class, which must agree.
-    """
-    by_team = {}
-    for record in records:
-        if record.entity != "driver":
-            continue
-        by_team.setdefault(record.team, []).append(record)
-
-    teams = []
-    for team, drivers in by_team.items():
-        if len(drivers) != 2:
-            raise ValueError(f"team {team!r} has {len(drivers)} driver records, expected 2")
-        classes = {driver.entrant_class for driver in drivers}
-        if len(classes) != 1:
-            raise ValueError(f"team {team!r} mixes driver classes {sorted(classes)}")
-        teams.append(SeasonRecord(
-            name=team,
-            team=team,
-            entrant_class=classes.pop(),
-            points=sum(driver.points for driver in drivers),
-            entity="team",
-        ))
-    return teams
 
 
 def load_bundled_results():

@@ -16,6 +16,7 @@ success, 1 for validation errors (bad flags, malformed input files),
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -144,15 +145,7 @@ def _emit_manifest(args, config, params):
             "workers": args.workers,
             "format": _resolve_format(args),
         },
-        "params": {
-            "mu_elite": params.mu_elite,
-            "mu_nonelite": params.mu_nonelite,
-            "sigma_elite": params.sigma_elite,
-            "sigma_nonelite": params.sigma_nonelite,
-            "cov_elite_pair": params.cov_elite_pair,
-            "cov_nonelite_pair": params.cov_nonelite_pair,
-            "z_table_limit": params.z_table_limit,
-        },
+        "params": dataclasses.asdict(params),
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -195,22 +188,14 @@ def _cell(value):
 def cmd_calibrate(args, config):
     params = make_params(config.scenario)
     residuals = calibration_residuals(params)
-    rows = []
-    values = [
-        ("mu_elite", params.mu_elite),
-        ("mu_nonelite", params.mu_nonelite),
-        ("sigma_elite", params.sigma_elite),
-        ("sigma_nonelite", params.sigma_nonelite),
-        ("cov_elite_pair", params.cov_elite_pair),
-        ("cov_nonelite_pair", params.cov_nonelite_pair),
-        ("z_table_limit", params.z_table_limit),
-    ]
-    for name, value in values:
-        rows.append({
+    rows = [
+        {
             "parameter": name,
             "value": repr(value),
             "residual": repr(residuals[name]) if name in residuals else "",
-        })
+        }
+        for name, value in dataclasses.asdict(params).items()
+    ]
     _print_table(rows, ("parameter", "value", "residual"), _resolve_format(args))
     if any(abs(residual) > RESIDUAL_TOLERANCE for residual in residuals.values()):
         print("f1bench: calibration residuals exceed 1e-9", file=sys.stderr)
@@ -252,18 +237,11 @@ def _summaries_for(args, config):
     if summaries is None:
         summaries = summarize_all(config, workers=args.workers)
         if cache_path:
-            store_summaries(cache_path, config, summaries)
+            try:
+                store_summaries(cache_path, config, summaries)
+            except OSError as exc:
+                raise ValueError(f"cannot write summary cache {cache_path}: {exc}") from None
     return summaries
-
-
-def _summary_row(summary, label=None):
-    return {
-        "category": label or summary.category,
-        "mean_points": summary.mean_points,
-        "ci_low": summary.ci_low,
-        "ci_high": summary.ci_high,
-        "n_sims": summary.n_sims,
-    }
 
 
 def cmd_simulate(args, config):
@@ -271,11 +249,11 @@ def cmd_simulate(args, config):
         return _fail("the rookie benchmark is defined on the baseline scenario")
     summaries = _summaries_for(args, config)
     if args.rookie:
-        rows = [_summary_row(rookie_benchmark(summaries["elite_driver"]), label="rookie_elite_driver")]
+        rookie = rookie_benchmark(summaries["elite_driver"])
+        rows = [{**rookie.as_dict(), "category": "rookie_elite_driver"}]
     else:
-        rows = [_summary_row(summaries[category]) for category in CATEGORIES]
-    _print_table(rows, ("category", "mean_points", "ci_low", "ci_high", "n_sims"),
-                 _resolve_format(args))
+        rows = [summaries[category].as_dict() for category in CATEGORIES]
+    _print_table(rows, tuple(rows[0]), _resolve_format(args))
     return EXIT_OK
 
 

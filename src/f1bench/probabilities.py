@@ -8,44 +8,24 @@ tail.  Everything here is analytic and doubles as the oracle the Monte
 Carlo engine is validated against.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .normal import std_normal_cdf
 
 __all__ = [
-    "PointsTable", "FULL_RACE_POINTS", "SPRINT_POINTS", "DEFAULT_POINTS",
-    "AGGREGATE_KINDS", "position_probability", "position_distribution",
-    "aggregate_probability", "expected_race_points", "expected_season_points",
+    "FULL_RACE_POINTS", "SPRINT_POINTS", "AGGREGATE_KINDS",
+    "position_probability", "position_distribution", "aggregate_probability",
+    "expected_race_points", "expected_season_points",
 ]
 
 N_POSITIONS = 20
 
+# Points for finishing positions 1..20 in each race format; the
+# simulator scores with these same tables.
 FULL_RACE_POINTS = (25, 18, 15, 12, 10, 8, 6, 4, 2, 1,
                     0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 SPRINT_POINTS = (8, 7, 6, 5, 4, 3, 2, 1, 0, 0,
                  0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-
-
-@dataclass(frozen=True)
-class PointsTable:
-    """Position to points maps for the two race formats."""
-
-    full_race: tuple = FULL_RACE_POINTS
-    sprint: tuple = SPRINT_POINTS
-
-    def __post_init__(self):
-        for label, table in (("full_race", self.full_race), ("sprint", self.sprint)):
-            if len(table) != N_POSITIONS:
-                raise ValueError(f"{label} table must cover positions 1..{N_POSITIONS}")
-            if any(a < b for a, b in zip(table, table[1:])):
-                raise ValueError(f"{label} points must be non-increasing in position")
-            if any(p < 0 for p in table):
-                raise ValueError(f"{label} points must be non-negative")
-
-
-DEFAULT_POINTS = PointsTable()
 
 # Upper rank boundary of each aggregate outcome.
 AGGREGATE_KINDS = {"podium": 3, "top8": 8, "top10": 10}
@@ -93,7 +73,7 @@ def expected_race_points(params, driver_class, table):
     return float(probs @ np.asarray(table, dtype=np.float64))
 
 
-def expected_season_points(params, driver_class, config, points=DEFAULT_POINTS):
+def expected_season_points(params, driver_class, config):
     """Exact expected season total for one driver.
 
     ``config`` only needs ``races_full`` and ``races_sprint``
@@ -102,6 +82,6 @@ def expected_season_points(params, driver_class, config, points=DEFAULT_POINTS):
     """
     if config.races_full < 0 or config.races_sprint < 0:
         raise ValueError("race counts must be non-negative")
-    per_full = expected_race_points(params, driver_class, points.full_race)
-    per_sprint = expected_race_points(params, driver_class, points.sprint)
+    per_full = expected_race_points(params, driver_class, FULL_RACE_POINTS)
+    per_sprint = expected_race_points(params, driver_class, SPRINT_POINTS)
     return config.races_full * per_full + config.races_sprint * per_sprint

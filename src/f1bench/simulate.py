@@ -43,7 +43,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -137,13 +137,7 @@ class SimulationSummary:
             raise ValueError("summary must satisfy ci_low <= mean <= ci_high")
 
     def as_dict(self):
-        return {
-            "category": self.category,
-            "mean_points": self.mean_points,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_sims": self.n_sims,
-        }
+        return asdict(self)
 
 
 def _uniform_chunk(master_seed, race, driver, chunk_index, count, offset=0):
@@ -458,7 +452,9 @@ def _read_cache(path):
 def load_cached_summaries(path, config):
     """Load summaries for a configuration from a cache file, or None.
 
-    An unreadable cache file is a miss: a warning naming the file goes
+    A cache file that cannot be read, or whose entry for the
+    configuration does not hold exactly the ``CATEGORIES`` summaries of
+    ``config.n_sims`` seasons, is a miss: a warning naming the file goes
     to stderr, and the caller recomputes and rewrites it.
     """
     if not path or not os.path.exists(path):
@@ -467,11 +463,15 @@ def load_cached_summaries(path, config):
         entry = _read_cache(path).get(_cache_key(config))
         if entry is None:
             return None
-        return {
-            category: SimulationSummary(**fields)
-            for category, fields in entry.items()
-        }
-    except (AttributeError, TypeError, ValueError) as exc:
+        if set(entry) != set(CATEGORIES):
+            raise ValueError(f"entry holds categories {sorted(entry)}")
+        summaries = {category: SimulationSummary(**entry[category]) for category in CATEGORIES}
+        for category, summary in summaries.items():
+            if (summary.category, summary.n_sims) != (category, config.n_sims):
+                raise ValueError(f"entry {category} holds {summary.category} "
+                                 f"of {summary.n_sims} seasons")
+        return summaries
+    except (OSError, TypeError, ValueError) as exc:
         print(f"f1bench: warning: ignoring unreadable summary cache {path}: {exc}",
               file=sys.stderr)
         return None

@@ -7,8 +7,7 @@ import pytest
 
 from f1bench.benchmark import (
     ARROWS, CSV_FIELDS, SeasonRecord, Verdict, classify, classify_season,
-    ingest_results, load_bundled_results, markdown_report,
-    team_records_from_drivers, verdict_rows,
+    ingest_results, load_bundled_results, markdown_report, verdict_rows,
 )
 from f1bench.simulate import SimulationSummary
 
@@ -205,35 +204,6 @@ def test_ingest_rejects_duplicates():
     assert len(ingest_results(io.StringIO(text))) == 2
 
 
-def test_team_aggregation():
-    records = [
-        driver("Charles Leclerc", "Ferrari", "elite", 242),
-        driver("Lewis Hamilton", "Ferrari", "elite", 156),
-        driver("Pierre Gasly", "Alpine", "nonelite", 22),
-        driver("Franco Colapinto", "Alpine", "nonelite", 0),
-    ]
-    teams = {record.name: record for record in team_records_from_drivers(records)}
-    assert teams["Ferrari"].points == 398
-    assert teams["Ferrari"].entrant_class == "elite"
-    assert teams["Ferrari"].entity == "team"
-    assert teams["Alpine"].points == 22
-
-
-def test_team_aggregation_requires_two_drivers():
-    records = [driver("Charles Leclerc", "Ferrari", "elite", 242)]
-    with pytest.raises(ValueError, match="Ferrari"):
-        team_records_from_drivers(records)
-
-
-def test_team_aggregation_rejects_mixed_classes():
-    records = [
-        driver("A", "Ferrari", "elite", 242),
-        driver("B", "Ferrari", "nonelite", 156),
-    ]
-    with pytest.raises(ValueError, match="Ferrari"):
-        team_records_from_drivers(records)
-
-
 def test_bundled_corpus_shape():
     records = load_bundled_results()
     drivers = [r for r in records if r.entity == "driver"]
@@ -246,11 +216,12 @@ def test_bundled_corpus_shape():
 
 def test_bundled_team_points_equal_driver_sums():
     records = load_bundled_results()
-    drivers = [r for r in records if r.entity == "driver"]
-    bundled = {r.name: r for r in records if r.entity == "team"}
-    for team in team_records_from_drivers(drivers):
-        assert bundled[team.name].points == team.points
-        assert bundled[team.name].entrant_class == team.entrant_class
+    teams = [r for r in records if r.entity == "team"]
+    for team in teams:
+        drivers = [r for r in records if r.entity == "driver" and r.team == team.name]
+        assert len(drivers) == 2, team.name
+        assert team.points == sum(d.points for d in drivers), team.name
+        assert {d.entrant_class for d in drivers} == {team.entrant_class}, team.name
 
 
 def test_bundled_corpus_verdicts():

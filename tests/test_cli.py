@@ -8,6 +8,7 @@ is exercised.
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ FULL_SCALE_SUMMARIES = {
 }
 
 SMALL = ["--sims", "2000", "--races-full", "3", "--races-sprint", "1"]
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, argv):
@@ -47,6 +50,14 @@ def test_calibrate_defaults(capsys):
     assert abs(float(rows["cov_nonelite_pair"]["value"]) - (-10.98825)) <= 1e-5
     for name in ("sigma_elite", "sigma_nonelite", "cov_elite_pair", "cov_nonelite_pair"):
         assert abs(float(rows[name]["residual"])) <= 1e-9
+
+
+def test_calibrate_output_matches_readme(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = text.split("$ f1bench calibrate\n", 1)[1].split("```", 1)[0]
+    code, out, _ = run_cli(capsys, ["calibrate"])
+    assert code == 0
+    assert out == block
 
 
 def test_calibrate_dominant_scenario(capsys):
@@ -157,6 +168,10 @@ def test_manifest_reports_run(capsys):
     assert manifest["config"]["master_seed"] == 2025
     assert manifest["config"]["n_sims"] == 2000
     assert abs(manifest["params"]["sigma_elite"] - 2.607903) <= 1e-5
+    assert set(manifest["params"]) == {
+        "mu_elite", "mu_nonelite", "sigma_elite", "sigma_nonelite",
+        "cov_elite_pair", "cov_nonelite_pair", "z_table_limit",
+    }
     assert "timestamp" in manifest and "version" in manifest
 
 
@@ -239,6 +254,38 @@ def test_corrupt_cache_is_recomputed_and_rewritten(tmp_path, capsys):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (0, expected)
     assert "warning" not in err
+
+
+def test_malformed_cache_entry_is_recomputed_and_rewritten(tmp_path, capsys):
+    path = tmp_path / "cache.json"
+    argv = ["simulate", "--cache", str(path)] + SMALL
+    _, expected, _ = run_cli(capsys, ["simulate"] + SMALL)
+    run_cli(capsys, argv)
+    (key, entry), = json.loads(path.read_text(encoding="utf-8")).items()
+    del entry["elite_team"]
+    path.write_text(json.dumps({key: entry}), encoding="utf-8")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert out == expected
+    assert "warning" in err and str(path) in err
+    rewritten = json.loads(path.read_text(encoding="utf-8"))
+    assert list(rewritten) == [key]
+    assert sorted(rewritten[key]) == ["elite_driver", "elite_team",
+                                      "nonelite_driver", "nonelite_team"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (0, expected)
+    assert "warning" not in err
+
+
+def test_unwritable_cache_path_is_an_error(tmp_path, capsys):
+    # a file in a missing directory, then a directory
+    for path in (tmp_path / "missing" / "cache.json", tmp_path):
+        code, out, err = run_cli(capsys, ["simulate", "--cache", str(path)] + SMALL)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1].startswith(
+            f"f1bench: error: cannot write summary cache {path}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_benchmark_bundled_corpus(tmp_path, capsys):

@@ -16,9 +16,9 @@ from scipy.integrate import quad
 from f1bench.calibration import SCENARIOS, make_params
 from f1bench.normal import std_normal_cdf
 from f1bench.probabilities import (
-    AGGREGATE_KINDS, DEFAULT_POINTS, FULL_RACE_POINTS, SPRINT_POINTS,
-    PointsTable, aggregate_probability, expected_race_points,
-    expected_season_points, position_distribution, position_probability,
+    AGGREGATE_KINDS, FULL_RACE_POINTS, SPRINT_POINTS, aggregate_probability,
+    expected_race_points, expected_season_points, position_distribution,
+    position_probability,
 )
 from f1bench.simulate import SeasonConfig
 
@@ -149,22 +149,11 @@ def test_position_validation():
 
 
 def test_points_tables():
-    assert DEFAULT_POINTS.full_race == FULL_RACE_POINTS
-    assert DEFAULT_POINTS.sprint == SPRINT_POINTS
+    assert len(FULL_RACE_POINTS) == len(SPRINT_POINTS) == 20
     assert FULL_RACE_POINTS[:10] == (25, 18, 15, 12, 10, 8, 6, 4, 2, 1)
     assert all(p == 0 for p in FULL_RACE_POINTS[10:])
     assert SPRINT_POINTS[:8] == (8, 7, 6, 5, 4, 3, 2, 1)
     assert all(p == 0 for p in SPRINT_POINTS[8:])
-
-
-def test_points_table_validation():
-    with pytest.raises(ValueError):
-        PointsTable(full_race=(25, 18))
-    with pytest.raises(ValueError):
-        PointsTable(full_race=(1,) * 19 + (2,))
-    with pytest.raises(ValueError):
-        PointsTable(sprint=(8, 7, 6, 5, 4, 3, 2, 1, 0, 0,
-                            0, 0, 0, 0, 0, 0, 0, 0, 0, -1))
 
 
 def test_expected_season_points():

@@ -571,3 +571,38 @@ def test_failed_summary_cache_write_keeps_old_file(tmp_path):
         store_summaries(path, other, {"elite_driver": Unserialisable()})
     assert load_cached_summaries(path, config) == summaries
     assert os.listdir(tmp_path) == ["summaries.json"]
+
+
+def test_malformed_summary_cache_entry_is_a_miss(tmp_path, capsys):
+    path = str(tmp_path / "summaries.json")
+    config = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000)
+    summaries = summarize_all(config)
+    store_summaries(path, config, summaries)
+    with open(path, encoding="utf-8") as handle:
+        (key, entry), = json.load(handle).items()
+    renamed = dict(entry, elite_team=dict(entry["elite_team"], category="elite_driver"))
+    resized = {category: dict(fields, n_sims=7) for category, fields in entry.items()}
+    for bad in (
+        {category: fields for category, fields in entry.items() if category != "elite_team"},
+        dict(entry, rookie_elite_driver=entry["elite_driver"]),
+        renamed,
+        resized,
+        ["elite_driver", "elite_team", "nonelite_driver", "nonelite_team"],
+    ):
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({key: bad}, handle)
+        assert load_cached_summaries(path, config) is None
+        assert path in capsys.readouterr().err
+    # a well-formed entry still loads, without a warning
+    store_summaries(path, config, summaries)
+    assert load_cached_summaries(path, config) == summaries
+    assert capsys.readouterr().err == ""
+
+
+def test_unreadable_summary_cache_path_is_a_miss(tmp_path, capsys):
+    config = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000)
+    assert load_cached_summaries(str(tmp_path), config) is None
+    assert str(tmp_path) in capsys.readouterr().err
+    # a file in a missing directory is a plain miss
+    assert load_cached_summaries(str(tmp_path / "missing" / "c.json"), config) is None
+    assert capsys.readouterr().err == ""
