@@ -6,10 +6,11 @@ prints the analytic outcome probabilities, ``simulate`` runs the Monte
 Carlo benchmarks and ``benchmark`` judges actual season results
 against them.
 
-Every run emits a JSON manifest (to stderr, or to a file with
-``--manifest``) recording the resolved configuration, the parameter
-values and the tool version; re-running with the manifest's seed and
-configuration reproduces the output byte for byte.  Exit codes: 0 on
+Every successful run emits a JSON manifest (to stderr, or to a file
+with ``--manifest``) once the subcommand has finished, recording the
+resolved configuration, the parameter values and the tool version;
+re-running with the manifest's seed and configuration reproduces the
+output byte for byte.  A run that fails emits none.  Exit codes: 0 on
 success, 1 for validation errors (bad flags, malformed input files),
 2 when a numeric self-check fails.
 """
@@ -294,11 +295,13 @@ def main(argv=None):
         params = make_params(config.scenario)
     except ValueError as exc:
         return _fail(str(exc))
-    _emit_manifest(args, config, params)
     try:
-        return _COMMANDS[args.command](args, config)
+        code = _COMMANDS[args.command](args, config)
     except ValueError as exc:
         return _fail(str(exc))
+    if code == EXIT_OK:
+        _emit_manifest(args, config, params)
+    return code
 
 
 if __name__ == "__main__":

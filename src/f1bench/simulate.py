@@ -31,10 +31,15 @@ path gives.  Raw ranks (``sample_pair_ranks``) always take that path.
 
 The key holds no category, so all four categories read the same
 streams: both drivers' categories read car 0, and both teams' read
-cars 0 and 1.  ``summarize_all`` therefore runs one pass that draws
-each race's uniforms, and computes their Acklam start, once per car for
-all four categories; the near-edge polish stays per category.  Each
-block's totals are reduced at once to a histogram per category.
+cars 0 and 1.  A team's car-0 rank is the same value as its class's
+driver rank, so a race needs one car-0 rank row per class and one
+car-1 row per team class, and a team is its driver's row plus a
+teammate row.  ``summarize_all`` therefore runs one stacked pass per
+race: it draws every car's uniforms into one array, builds every rank
+row from their Acklam start in one array, polishes the seasons in
+which any row sits near a bin edge and scores all rows with one table
+lookup.  Each block's totals are reduced at once to a histogram per
+category.
 """
 
 import json
@@ -44,6 +49,7 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +101,9 @@ _SPRINT_PTS = np.asarray(SPRINT_POINTS, dtype=np.int64)
 
 _MAX_SEED = 2 ** 64
 
+# The quantiles of the 95% interval, as np.percentile forms them.
+_BAND_QUANTILES = np.array([2.5, 97.5]) / 100
+
 
 @dataclass(frozen=True)
 class SeasonConfig:
@@ -140,19 +149,21 @@ class SimulationSummary:
         return asdict(self)
 
 
-def _uniform_chunk(master_seed, race, driver, chunk_index, count, offset=0):
+def _uniform_chunk(master_seed, race, driver, chunk_index, count, offset=0, out=None):
     """Uniforms ``offset .. offset + count`` of one (race, driver, chunk) stream.
 
     Each Philox counter step yields four 64-bit words and ``random()``
     uses one word per double, so the generator skips ``offset // 4``
-    counter steps and discards the remaining ``offset % 4`` words.
+    counter steps and discards the remaining ``offset % 4`` words.  The
+    draws fill ``out`` when it is given.
     """
     seq = np.random.SeedSequence(entropy=[master_seed, race, driver, chunk_index])
     bits = np.random.Philox(seq)
     bits.advance(offset // 4)
     gen = np.random.Generator(bits)
     gen.random(offset % 4)
-    return np.maximum(gen.random(count), _UNIFORM_FLOOR)
+    out = gen.random(count) if out is None else gen.random(out=out)
+    return np.maximum(out, _UNIFORM_FLOOR, out=out)
 
 
 def round_to_position(ranks):
@@ -171,85 +182,150 @@ def _category_kind(category):
     return driver_class, 1 if entity == "driver" else 2
 
 
-def _race_uniforms(config, race, cars, start, count):
-    """One race's uniforms for seasons ``start .. start + count``, one array per car.
+def _race_uniforms(config, race, start, out):
+    """Fill ``out[car]`` with car ``car``'s uniforms of one race for seasons ``start ..``.
 
     The seasons must lie in one chunk.
     """
     chunk_index, offset = divmod(start, CHUNK_SIMS)
-    return [
-        _uniform_chunk(config.master_seed, race, car, chunk_index, count, offset)
-        for car in range(cars)
+    for car, row in enumerate(out):
+        _uniform_chunk(config.master_seed, race, car, chunk_index, len(row), offset, out=row)
+    return out
+
+
+class _RankPlan(NamedTuple):
+    """Rank rows ``mu + a * z0``, the trailing ``len(b)`` of them plus ``b * z1``.
+
+    ``mu``, ``a`` and ``b`` are column vectors; ``reads`` holds each
+    category's tuple of row indices.
+    """
+
+    mu: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    reads: list
+
+
+def _rank_plan(params, categories):
+    """The rank rows one race needs for ``categories``, and the rows each reads.
+
+    Each class has one car-0 row, ``mu + sigma * z0``, which its driver
+    category and its team's first car share.  Each team class adds a
+    car-1 row from the conditional factorization of the bivariate
+    normal, ``mu + rho * sigma * z0 + sigma * sqrt(1 - rho^2) * z1``.
+    """
+    kinds = [_category_kind(category) for category in categories]
+    classes = list(dict.fromkeys(driver_class for driver_class, _ in kinds))
+    pairs = list(dict.fromkeys(driver_class for driver_class, cars in kinds if cars == 2))
+    mu = [params.class_mean(driver_class) for driver_class in classes]
+    a = [params.class_sigma(driver_class) for driver_class in classes]
+    b = []
+    for driver_class in pairs:
+        sigma = params.class_sigma(driver_class)
+        cov = params.class_cov(driver_class)
+        if not abs(cov) < sigma * sigma:
+            raise ValueError("pair covariance matrix is not positive definite")
+        rho = cov / (sigma * sigma)
+        mu.append(params.class_mean(driver_class))
+        a.append(rho * sigma)
+        b.append(sigma * math.sqrt(1.0 - rho * rho))
+    reads = [
+        (classes.index(driver_class),) if cars == 1
+        else (classes.index(driver_class), len(classes) + pairs.index(driver_class))
+        for driver_class, cars in kinds
     ]
+    return _RankPlan(*(np.array(values).reshape(-1, 1) for values in (mu, a, b)), reads)
 
 
-def _ranks(params, driver_class, z):
-    """Raw (unrounded) ranks from standard normal deviates, one per car.
+def _ranks(plan, z, out=None):
+    """Raw (unrounded) ranks of every row of ``plan`` from per-car deviates ``z``."""
+    ranks = np.multiply(plan.a, z[0], out=out)
+    ranks += plan.mu
+    if len(plan.b):
+        teammates = ranks[len(plan.mu) - len(plan.b):]
+        teammates += plan.b * z[1]
+    return ranks
 
-    A lone driver when ``z`` holds one array, a teammate pair drawn from
-    the bivariate model when it holds two.
+
+def _race_step(plan, uniforms, work=None):
+    """Rank indices ``floor(r + 0.5)`` of every rank row of one race.
+
+    ``uniforms`` holds one row per car.  The ranks are built from
+    Acklam's start of each car's uniforms.  The seasons in which some
+    row lies within ``_EDGE_MARGIN`` of a bin edge are redone through the
+    polished quantile, so every index is the one the rounded polished
+    rank gives.  ``work`` is a (float, intp) pair of (rows, seasons)
+    arrays that the step overwrites; the intp one is returned, and
+    clamping its entries to 1..20 gives the positions.
     """
-    mu = params.class_mean(driver_class)
-    sigma = params.class_sigma(driver_class)
-    r1 = mu + sigma * z[0]
-    if len(z) == 1:
-        return (r1,)
-    cov = params.class_cov(driver_class)
-    if not abs(cov) < sigma * sigma:
-        raise ValueError("pair covariance matrix is not positive definite")
-    rho = cov / (sigma * sigma)
-    # conditional factorization of the bivariate normal
-    r2 = mu + rho * sigma * z[0] + sigma * math.sqrt(1.0 - rho * rho) * z[1]
-    return r1, r2
-
-
-def _race_ranks(params, driver_class, uniforms):
-    """Raw ranks through the polished quantile ``std_normal_quantile``."""
-    return _ranks(params, driver_class, [std_normal_quantile(u) for u in uniforms])
-
-
-def _race_positions(params, driver_class, uniforms, z=None):
-    """Finishing positions in 1..20, one int64 array per car.
-
-    Positions are read off ranks built from Acklam's start ``z`` of each
-    car's uniforms alone (computed here unless the caller shares it).
-    Only the draws that put some car within ``_EDGE_MARGIN`` of a bin
-    edge are redone through ``_race_ranks``, so every position equals
-    the rounded polished rank.
-    """
-    if z is None:
-        z = [_acklam(u) for u in uniforms]
-    ranks = _ranks(params, driver_class, z)
-    near = np.zeros(len(uniforms[0]), dtype=bool)
-    for r in ranks:
-        near |= np.abs(r - np.floor(r) - 0.5) < _EDGE_MARGIN
-    positions = [round_to_position(r) for r in ranks]
+    if work is None:
+        shape = (len(plan.mu), uniforms.shape[1])
+        work = np.empty(shape), np.empty(shape, dtype=np.intp)
+    ranks, index = work
+    # Acklam runs once per car.  On the stacked array its temporaries are
+    # twice as large, and at one worker freeing them every race made the
+    # allocator return their pages and fault them in again: ~200000 page
+    # faults per 300000-season run instead of ~15000.
+    _ranks(plan, [_acklam(u) for u in uniforms], out=ranks)
+    ranks += 0.5
+    np.floor(ranks, out=index, casting="unsafe")
+    # r lies near a bin edge k + 0.5 when the fraction of r + 0.5 lies
+    # near 0 or 1
+    ranks -= index
+    ranks -= 0.5
+    near = np.abs(ranks, out=ranks) > 0.5 - _EDGE_MARGIN
     if near.any():
-        polished = _race_ranks(params, driver_class, [u[near] for u in uniforms])
-        for position, r in zip(positions, polished):
-            position[near] = round_to_position(r)
-    return positions
+        seasons = np.flatnonzero(near.any(axis=0))
+        polished = _ranks(plan, [std_normal_quantile(u) for u in uniforms[:, seasons]])
+        index[:, seasons] = np.floor(polished + 0.5)
+    return index
+
+
+def _season_top(config):
+    """A driver's highest season total: a win in every race."""
+    return config.races_full * int(_FULL_PTS[0]) + config.races_sprint * int(_SPRINT_PTS[0])
+
+
+def _total_dtype(config):
+    """The narrowest signed integer type that holds a team's highest season total."""
+    return np.min_scalar_type(-2 * _season_top(config) - 1)
+
+
+def _scoring_tables(dtype):
+    """Points of a full race and a sprint indexed by ``floor(r + 0.5)``.
+
+    Index 0 scores position 1, and ``np.take``'s clip mode scores every
+    index below 0 as position 1 and every index above 20 as position 20.
+    """
+    return [np.concatenate((points[:1], points)).astype(dtype)
+            for points in (_FULL_PTS, _SPRINT_PTS)]
 
 
 def _season_block(params, categories, config, start, count):
     """Season totals of seasons ``start .. start + count``, one array per category.
 
     The seasons must lie in one chunk.  The Philox key holds no
-    category, so every category reads the same per-car streams: each
-    race's uniforms and their Acklam start are computed once, for as
-    many cars as the categories need, and shared.
+    category, so every category reads the same per-car streams, and a
+    team's first car is its class's driver.  Each race draws every
+    car's uniforms once, builds every rank row in one stacked step and
+    scores all rows with one lookup.  A team's total is the sum of its
+    two rows.  The workspace is sized by ``count``, and the totals are
+    int64.
     """
-    kinds = [_category_kind(category) for category in categories]
-    cars = max(n for _, n in kinds)
-    totals = [np.zeros(count, dtype=np.int64) for _ in categories]
+    plan = _rank_plan(params, categories)
+    rows = len(plan.mu)
+    cars = 2 if len(plan.b) else 1
+    full, sprint = _scoring_tables(_total_dtype(config))
+    uniforms = np.empty((cars, count))
+    work = np.empty((rows, count)), np.empty((rows, count), dtype=np.intp)
+    points = np.empty((rows, count), dtype=full.dtype)
+    totals = np.zeros((rows, count), dtype=full.dtype)
     for race in range(config.races):
-        points = _race_points(config, race)
-        uniforms = _race_uniforms(config, race, cars, start, count)
-        z = [_acklam(u) for u in uniforms]
-        for total, (driver_class, n) in zip(totals, kinds):
-            for position in _race_positions(params, driver_class, uniforms[:n], z[:n]):
-                total += points[position - 1]
-    return totals
+        _race_uniforms(config, race, start, uniforms)
+        table = full if race < config.races_full else sprint
+        np.take(table, _race_step(plan, uniforms, work), mode="clip", out=points)
+        totals += points
+    return [totals[list(read)].sum(axis=0, dtype=np.int64) for read in plan.reads]
 
 
 def _block_spans(n_sims):
@@ -352,8 +428,7 @@ def _summaries(categories, config, params, workers):
     if config.n_sims < 40:
         raise ValueError("n_sims must be at least 40 for meaningful 95% percentiles")
     _check_run(categories, workers)
-    # a driver's highest total is a win in every race
-    top = config.races_full * int(_FULL_PTS[0]) + config.races_sprint * int(_SPRINT_PTS[0])
+    top = _season_top(config)
     sizes = [cars * top + 1 for _, cars in map(_category_kind, categories)]
 
     def run(start, count):
@@ -371,12 +446,18 @@ def _summaries(categories, config, params, workers):
 
 
 def _summary(category, counts, n_sims):
-    """The ``SimulationSummary`` of the season totals that ``counts`` histograms."""
-    totals = np.repeat(np.arange(len(counts)), counts)
-    low, high = np.percentile(totals, [2.5, 97.5], method="inverted_cdf")
+    """The ``SimulationSummary`` of the season totals that ``counts`` histograms.
+
+    The mean is the exact integer sum over ``n_sims``.  The endpoints
+    follow ``np.percentile(..., method="inverted_cdf")``, which takes the
+    sorted total at index ``ceil(n * q - 1)`` (at least 0): the first
+    total whose cumulative count exceeds that index.
+    """
+    index = np.maximum(np.ceil(n_sims * _BAND_QUANTILES - 1), 0)
+    low, high = np.searchsorted(np.cumsum(counts), index, side="right")
     return SimulationSummary(
         category=category,
-        mean_points=float(totals.mean()),
+        mean_points=int(np.arange(len(counts)) @ counts) / n_sims,
         ci_low=float(low),
         ci_high=float(high),
         n_sims=n_sims,
@@ -408,8 +489,9 @@ def sample_positions(params, driver_class, config, race=0):
     position that each simulated season records in the given race.
     Useful for checking the simulator against the analytic bins.
     """
-    (positions,) = _sample_race(_race_positions, params, driver_class, config, race, 1)
-    return positions
+    plan = _rank_plan(params, (f"{driver_class}_driver",))
+    (index,) = _sample_race(lambda uniforms: _race_step(plan, uniforms), config, race, 1)
+    return np.clip(index, 1, 20).astype(np.int64)
 
 
 def sample_pair_ranks(params, driver_class, config, race=0):
@@ -417,18 +499,21 @@ def sample_pair_ranks(params, driver_class, config, race=0):
 
     The ranks are returned before rounding, which is the scale on which
     the pair-sum boundary conditions and the within-team correlation
-    are defined.
+    are defined.  They go through the polished quantile.
     """
-    r1, r2 = _sample_race(_race_ranks, params, driver_class, config, race, 2)
+    plan = _rank_plan(params, (f"{driver_class}_team",))
+    r1, r2 = _sample_race(
+        lambda uniforms: _ranks(plan, [std_normal_quantile(u) for u in uniforms]),
+        config, race, 2)
     return r1, r2
 
 
-def _sample_race(step, params, driver_class, config, race, cars):
-    """``step``'s per-car arrays for one race, joined over every block."""
+def _sample_race(step, config, race, cars):
+    """``step``'s rows for one race's uniforms, joined over every block."""
     if not 0 <= race < config.races:
         raise ValueError(f"race index must lie in [0, {config.races})")
     return np.concatenate([
-        step(params, driver_class, _race_uniforms(config, race, cars, start, count))
+        step(_race_uniforms(config, race, start, np.empty((cars, count))))
         for start, count in _block_spans(config.n_sims)
     ], axis=1)
 

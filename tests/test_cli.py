@@ -229,6 +229,21 @@ def test_invalid_workers_rejected(capsys):
         assert err.splitlines() == [f"f1bench: error: --workers must be at least 1, got {workers}"]
 
 
+def test_failed_run_writes_no_manifest(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    for argv in (["simulate", "--cache", str(tmp_path / "missing" / "c.json")] + SMALL,
+                 ["simulate", "--rookie", "--scenario", "dominant"] + SMALL):
+        code, out, err = run_cli(capsys, argv + ["--manifest", str(manifest)])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1].startswith("f1bench: error: ")
+        assert not manifest.exists()
+    # on stderr, too, a failed run prints its error and nothing else
+    code, _, err = run_cli(capsys, ["simulate", "--rookie", "--scenario", "dominant"] + SMALL)
+    assert code == 1
+    assert err == "f1bench: error: the rookie benchmark is defined on the baseline scenario\n"
+
+
 def test_simulate_cache_round_trip(tmp_path, capsys):
     path = str(tmp_path / "cache.json")
     argv = ["simulate", "--cache", path] + SMALL

@@ -8,6 +8,7 @@ standard errors of headroom at that sample size.
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from f1bench.simulate import (
     simulate_team_season, store_summaries, summarize, summarize_all,
 )
 from f1bench.simulate import (
-    _BLOCK_SIMS, _EDGE_MARGIN, _race_points, _race_positions, _race_ranks, _ranks,
+    _BLOCK_SIMS, _EDGE_MARGIN, _race_points, _race_step, _rank_plan, _ranks, _summary,
     _uniform_chunk,
 )
 
@@ -212,19 +213,20 @@ def test_golden_digests():
 def test_acklam_start_stays_within_margin():
     # an unpolished rank must sit well inside the margin of the polished
     # one, at the extreme uniforms and on both sides of Acklam's
-    # branch points as well as over a million ordinary draws
+    # branch points as well as over a million ordinary draws, in every
+    # rank row: each class's car-0 row and each team's car-1 row
     tiny = 2.0 ** -53
     extremes = [tiny, 1.0 - tiny]
     for point in (0.02425, 0.97575):
         extremes += [np.nextafter(point, 0.0), point, np.nextafter(point, 1.0)]
-    for driver_class in ("elite", "nonelite"):
-        for cars in (1, 2):
-            uniforms = [np.concatenate([_uniform_chunk(DEFAULT_SEED, 0, car, 0, 1_000_000),
-                                        extremes]) for car in range(cars)]
-            start = _ranks(PARAMS, driver_class, [_acklam(u) for u in uniforms])
-            polished = _ranks(PARAMS, driver_class, [std_normal_quantile(u) for u in uniforms])
-            for r_start, r_polished in zip(start, polished):
-                assert np.abs(r_start - r_polished).max() < _EDGE_MARGIN / 10
+    uniforms = np.array([np.concatenate([_uniform_chunk(DEFAULT_SEED, 0, car, 0, 1_000_000),
+                                         extremes]) for car in range(2)])
+    plan = _rank_plan(PARAMS, CATEGORIES)
+    start = _ranks(plan, [_acklam(u) for u in uniforms])
+    polished = _ranks(plan, [std_normal_quantile(u) for u in uniforms])
+    assert len(start) == 4
+    for r_start, r_polished in zip(start, polished):
+        assert np.abs(r_start - r_polished).max() < _EDGE_MARGIN / 10
 
 
 def _acklam_masked(p):
@@ -272,24 +274,37 @@ def _bin_edge_uniforms(params, driver_class):
     return (edges[:, None] + np.arange(-3, 4) * 2.0 ** -53).ravel()
 
 
-def test_near_edge_draws_take_polished_path(monkeypatch):
+def _polished_positions(plan, uniforms):
+    """Every rank row's rounded polished rank."""
+    return [round_to_position(r)
+            for r in _ranks(plan, [std_normal_quantile(u) for u in uniforms])]
+
+
+def _counting_quantile(monkeypatch, sizes):
+    """Make the stacked step's polish record the size of each quantile call."""
     polished_quantile = std_normal_quantile
-    sizes = []
 
     def counting_quantile(p):
         sizes.append(len(p))
         return polished_quantile(p)
 
+    monkeypatch.setattr(simulate, "std_normal_quantile", counting_quantile)
+
+
+def test_near_edge_draws_take_polished_path(monkeypatch):
+    sizes = []
     for params in (PARAMS, make_params("dominant")):
         for driver_class in ("elite", "nonelite"):
             edge = _bin_edge_uniforms(params, driver_class)
             other = _uniform_chunk(DEFAULT_SEED, 0, 1, 0, len(edge))
-            for uniforms in ([edge], [edge, other]):
-                expected = [round_to_position(r)
-                            for r in _race_ranks(params, driver_class, uniforms)]
+            for category, uniforms in ((f"{driver_class}_driver", [edge]),
+                                       (f"{driver_class}_team", [edge, other])):
+                plan = _rank_plan(params, (category,))
+                uniforms = np.array(uniforms)
+                expected = _polished_positions(plan, uniforms)
                 sizes.clear()
-                monkeypatch.setattr(simulate, "std_normal_quantile", counting_quantile)
-                positions = _race_positions(params, driver_class, uniforms)
+                _counting_quantile(monkeypatch, sizes)
+                positions = np.clip(_race_step(plan, uniforms), 1, 20)
                 monkeypatch.undo()
                 # every draw sits at an edge, so every draw was polished
                 assert sizes == [len(edge)] * len(uniforms)
@@ -297,11 +312,41 @@ def test_near_edge_draws_take_polished_path(monkeypatch):
                     assert (got == want).all()
 
 
+def test_stacked_step_screens_every_row(monkeypatch):
+    # car 0 puts one class's rows on its bin edges and the other class's
+    # rows at ordinary values; the screen takes the union over rows, so
+    # every row of every category must read the rounded polished rank
+    sizes = []
+    for params in (PARAMS, make_params("dominant")):
+        plan = _rank_plan(params, CATEGORIES)
+        for edge_class in ("elite", "nonelite"):
+            edge = _bin_edge_uniforms(params, edge_class)
+            ordinary = _uniform_chunk(DEFAULT_SEED, 5, 0, 0, 4096)
+            uniforms = np.array([np.concatenate([edge, ordinary]),
+                                 _uniform_chunk(DEFAULT_SEED, 5, 1, 0, len(edge) + 4096)])
+            expected = _polished_positions(plan, uniforms)
+            sizes.clear()
+            _counting_quantile(monkeypatch, sizes)
+            positions = np.clip(_race_step(plan, uniforms), 1, 20)
+            monkeypatch.undo()
+            # each car is polished once, over the same flagged seasons,
+            # and those include every edge season
+            assert len(sizes) == 2 and sizes[0] == sizes[1] >= len(edge)
+            for category, rows in zip(CATEGORIES, plan.reads):
+                assert len(rows) == (2 if category.endswith("team") else 1)
+                for row in rows:
+                    assert (positions[row] == expected[row]).all(), (category, row)
+                # a category on its own reads the same rows
+                alone = _rank_plan(params, (category,))
+                own = np.clip(_race_step(alone, uniforms[:len(rows)]), 1, 20)
+                assert (own == positions[list(rows)]).all(), category
+
+
 def test_positions_step_rejects_non_positive_definite_covariance():
     fake = FlatParams(cov=-(2.607903347606801 ** 2))
-    uniforms = [np.full(4, 0.3), np.full(4, 0.6)]
+    uniforms = np.array([np.full(4, 0.3), np.full(4, 0.6)])
     with pytest.raises(ValueError, match="positive definite"):
-        _race_positions(fake, "elite", uniforms)
+        _race_step(_rank_plan(fake, ("elite_team",)), uniforms)
 
 
 def test_single_season_replay_matches_batch():
@@ -448,6 +493,55 @@ def test_summaries_equal_summaries_of_season_totals():
             for category in CATEGORIES:
                 got = summarize(category, config, params=params, workers=workers)
                 assert got == expected[category], (scenario, category, workers)
+
+
+def test_histogram_summary_equals_summary_of_expanded_totals():
+    # the 2.5% and 97.5% ranks n * q - 1 are whole numbers at n = 40,
+    # 200, 1000 and 300000, and fall between totals at the other sizes
+    rng = np.random.default_rng(DEFAULT_SEED)
+    for n in (40, 41, 199, 200, 1000, 12345, 300000):
+        for size in (1, 2, 60, 1297):
+            # a smooth hump plus sparse noise, so many bins are empty
+            hump = np.exp(-0.5 * ((np.arange(size) - size / 2) / (size / 8 + 1)) ** 2)
+            weights = hump + rng.random(size) * (rng.random(size) < 0.1)
+            counts = rng.multinomial(n, weights / weights.sum())
+            totals = np.repeat(np.arange(size), counts)
+            assert _summary("elite_team", counts, n) == _summary_of("elite_team", totals), \
+                (n, size)
+
+
+class WinnerParams(FlatParams):
+    """Every rank far below 1, so every car wins every race."""
+
+    def class_mean(self, driver_class):
+        return -1000.0
+
+
+def test_row_totals_beyond_int16():
+    # 1400 full races take a team's total past 32767, and a car that wins
+    # every race takes a single row there too
+    config = SeasonConfig(races_full=1400, races_sprint=0, n_sims=40)
+    totals = {category: season_totals(category, config) for category in CATEGORIES}
+    assert totals["elite_team"].min() > 32767
+    expected = {category: _summary_of(category, totals[category]) for category in CATEGORIES}
+    assert summarize_all(config) == expected
+    winners = season_totals("elite_team", config, params=WinnerParams(cov=0.0))
+    assert (winners == 2 * 1400 * 25).all()
+
+
+def test_replay_allocates_no_block_workspace():
+    # a replay's workspace is sized by its one season: one block-sized
+    # array alone would be 128 KiB
+    config = SeasonConfig(races_full=24, races_sprint=6, n_sims=CHUNK_SIMS)
+    simulate_team_season(PARAMS, "elite", config, 0)
+    for replay in (simulate_driver_season, simulate_team_season):
+        tracemalloc.start()
+        try:
+            replay(PARAMS, "elite", config, 12345)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (replay.__name__, peak)
 
 
 def test_summarize_rejects_tiny_samples():
