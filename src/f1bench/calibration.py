@@ -32,7 +32,7 @@ from .normal import std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "MU_ELITE", "MU_NONELITE", "MU_ELITE_DOMINANT", "Z_TABLE_LIMIT",
-    "DRIVER_CLASSES", "SCENARIOS", "ModelParams", "canonical_scenario",
+    "DRIVER_CLASSES", "SCENARIOS", "SCENARIO_ALIASES", "ModelParams", "canonical_scenario",
     "calibrate_sigma_elite", "calibrate_sigma_nonelite",
     "calibrate_cov_elite", "calibrate_cov_nonelite", "make_params",
     "calibration_residuals",
@@ -48,12 +48,12 @@ Z_TABLE_LIMIT = 4.9
 
 DRIVER_CLASSES = ("elite", "nonelite")
 SCENARIOS = ("baseline", "dominant")
-_SCENARIO_ALIASES = {"dominant_manufacturer": "dominant"}
+SCENARIO_ALIASES = {"dominant_manufacturer": "dominant"}
 
 
 def canonical_scenario(name):
     """Normalize a scenario name, accepting the long dominant spelling."""
-    kind = _SCENARIO_ALIASES.get(name, name)
+    kind = SCENARIO_ALIASES.get(name, name)
     if kind not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
     return kind

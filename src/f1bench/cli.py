@@ -28,12 +28,12 @@ from .benchmark import (
     ingest_results, classify_season, load_bundled_results,
     markdown_report, verdict_rows,
 )
-from .calibration import make_params, calibration_residuals, canonical_scenario
+from .calibration import SCENARIO_ALIASES, SCENARIOS, calibration_residuals, make_params
 from .probabilities import (
     AGGREGATE_KINDS, aggregate_probability, position_distribution,
 )
 from .simulate import (
-    CATEGORIES, DEFAULT_SEED, SCENARIO_SEASONS, SeasonConfig,
+    CATEGORIES, DEFAULT_SEED, SeasonConfig,
     load_cached_summaries, rookie_benchmark, store_summaries, summarize_all,
 )
 
@@ -74,7 +74,7 @@ def _fail(message):
 
 def _add_common(parser):
     parser.add_argument("--scenario", default="baseline",
-                        choices=("baseline", "dominant", "dominant_manufacturer"),
+                        choices=(*SCENARIOS, *SCENARIO_ALIASES),
                         help="parameter scenario (default: baseline)")
     parser.add_argument("--seed", type=int, default=None,
                         help=f"master seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
@@ -122,15 +122,13 @@ def build_parser():
 def _resolve_config(args):
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    scenario = canonical_scenario(args.scenario)
-    default_full, default_sprint = SCENARIO_SEASONS[scenario]
     seed = args.seed if args.seed is not None else _default_seed()
     return SeasonConfig(
-        races_full=args.races_full if args.races_full is not None else default_full,
-        races_sprint=args.races_sprint if args.races_sprint is not None else default_sprint,
+        races_full=args.races_full,
+        races_sprint=args.races_sprint,
         n_sims=args.sims,
         master_seed=seed,
-        scenario=scenario,
+        scenario=args.scenario,
     )
 
 
@@ -138,11 +136,7 @@ def _emit_manifest(args, config, params):
     manifest = {
         "subcommand": args.command,
         "config": {
-            "races_full": config.races_full,
-            "races_sprint": config.races_sprint,
-            "n_sims": config.n_sims,
-            "master_seed": config.master_seed,
-            "scenario": config.scenario,
+            **dataclasses.asdict(config),
             "workers": args.workers,
             "format": _resolve_format(args),
         },
@@ -186,8 +180,7 @@ def _cell(value):
     return str(value)
 
 
-def cmd_calibrate(args, config):
-    params = make_params(config.scenario)
+def cmd_calibrate(args, config, params):
     residuals = calibration_residuals(params)
     rows = [
         {
@@ -204,8 +197,7 @@ def cmd_calibrate(args, config):
     return EXIT_OK
 
 
-def cmd_probs(args, config):
-    params = make_params(config.scenario)
+def cmd_probs(args, config, params):
     outcome_rows = [(f"p{k}", k - 1) for k in range(1, 11)]
     distributions = {}
     for driver_class in ("elite", "nonelite"):
@@ -245,7 +237,7 @@ def _summaries_for(args, config):
     return summaries
 
 
-def cmd_simulate(args, config):
+def cmd_simulate(args, config, params):
     if args.rookie and config.scenario != "baseline":
         return _fail("the rookie benchmark is defined on the baseline scenario")
     summaries = _summaries_for(args, config)
@@ -258,7 +250,7 @@ def cmd_simulate(args, config):
     return EXIT_OK
 
 
-def cmd_benchmark(args, config):
+def cmd_benchmark(args, config, params):
     if args.results is None:
         records = load_bundled_results()
     else:
@@ -296,11 +288,14 @@ def main(argv=None):
     except ValueError as exc:
         return _fail(str(exc))
     try:
-        code = _COMMANDS[args.command](args, config)
+        code = _COMMANDS[args.command](args, config, params)
     except ValueError as exc:
         return _fail(str(exc))
     if code == EXIT_OK:
-        _emit_manifest(args, config, params)
+        try:
+            _emit_manifest(args, config, params)
+        except OSError as exc:
+            return _fail(f"cannot write manifest {args.manifest}: {exc}")
     return code
 
 

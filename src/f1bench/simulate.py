@@ -55,7 +55,7 @@ import numpy as np
 
 from .calibration import canonical_scenario, make_params
 from .normal import _acklam, std_normal_quantile
-from .probabilities import FULL_RACE_POINTS, SPRINT_POINTS
+from .probabilities import FULL_RACE_POINTS, N_POSITIONS, SPRINT_POINTS
 
 __all__ = [
     "CHUNK_SIMS", "DEFAULT_SEED", "CATEGORIES", "SCENARIO_SEASONS",
@@ -107,22 +107,25 @@ _BAND_QUANTILES = np.array([2.5, 97.5]) / 100
 
 @dataclass(frozen=True)
 class SeasonConfig:
-    """Race counts, simulation size, seed and scenario for one run."""
+    """Race counts (the scenario's unless given), simulation size, seed and scenario."""
 
-    races_full: int = 24
-    races_sprint: int = 6
+    races_full: int | None = None
+    races_sprint: int | None = None
     n_sims: int = 1_000_000
     master_seed: int = DEFAULT_SEED
     scenario: str = "baseline"
 
     def __post_init__(self):
+        object.__setattr__(self, "scenario", canonical_scenario(self.scenario))
+        for field, default in zip(("races_full", "races_sprint"), SCENARIO_SEASONS[self.scenario]):
+            if getattr(self, field) is None:
+                object.__setattr__(self, field, default)
         if self.races_full < 0 or self.races_sprint < 0:
             raise ValueError("race counts must be non-negative")
         if self.n_sims < 1:
             raise ValueError("n_sims must be at least 1")
         if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < _MAX_SEED):
             raise ValueError("master_seed must be an unsigned 64-bit integer")
-        object.__setattr__(self, "scenario", canonical_scenario(self.scenario))
 
     @property
     def races(self):
@@ -142,8 +145,10 @@ class SimulationSummary:
     def __post_init__(self):
         if self.category not in CATEGORIES:
             raise ValueError(f"unknown category {self.category!r}")
-        if not self.ci_low <= self.mean_points <= self.ci_high:
-            raise ValueError("summary must satisfy ci_low <= mean <= ci_high")
+        # The mean may lie outside the band: one scoring season in forty gives 0..0.
+        if not (all(map(math.isfinite, (self.mean_points, self.ci_low, self.ci_high)))
+                and self.ci_low <= self.ci_high):
+            raise ValueError("summary must be finite with ci_low <= ci_high")
 
     def as_dict(self):
         return asdict(self)
@@ -169,11 +174,7 @@ def _uniform_chunk(master_seed, race, driver, chunk_index, count, offset=0, out=
 def round_to_position(ranks):
     """Round rank draws half up, clamp to 1..20."""
     ranks = np.asarray(ranks, dtype=np.float64)
-    return np.clip(np.floor(ranks + 0.5), 1, 20).astype(np.int64)
-
-
-def _race_points(config, race):
-    return _FULL_PTS if race < config.races_full else _SPRINT_PTS
+    return np.clip(np.floor(ranks + 0.5), 1, N_POSITIONS).astype(np.int64)
 
 
 def _category_kind(category):
@@ -491,7 +492,7 @@ def sample_positions(params, driver_class, config, race=0):
     """
     plan = _rank_plan(params, (f"{driver_class}_driver",))
     (index,) = _sample_race(lambda uniforms: _race_step(plan, uniforms), config, race, 1)
-    return np.clip(index, 1, 20).astype(np.int64)
+    return np.clip(index, 1, N_POSITIONS).astype(np.int64)
 
 
 def sample_pair_ranks(params, driver_class, config, race=0):

@@ -107,7 +107,7 @@ def baseline_run():
 
 @pytest.fixture(scope="module")
 def dominant_run():
-    config = SeasonConfig(races_full=18, races_sprint=6, scenario="dominant")
+    config = SeasonConfig(scenario="dominant")
     params = make_params("dominant")
     return {
         category: summarize(category, config, params=params, workers=4)

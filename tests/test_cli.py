@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from f1bench.cli import SEED_ENV_VAR, main
-from f1bench.simulate import SeasonConfig, SimulationSummary, store_summaries
+from f1bench.simulate import SeasonConfig, SimulationSummary, store_summaries, summarize_all
 
 # Full-scale (1e6 sims, seed 2025) summaries frozen from a verified
 # run, used to pre-seed the cache so benchmark tests stay fast.
@@ -148,6 +148,26 @@ def test_rookie_requires_baseline(capsys):
     assert "rookie" in err
 
 
+def test_simulate_rows_equal_library_summaries(capsys):
+    # the library and the CLI take the same calendar for each scenario
+    for scenario in ("baseline", "dominant"):
+        code, out, _ = run_cli(capsys, ["simulate", "--scenario", scenario, "--sims", "2000",
+                                        "--format", "json"])
+        assert code == 0
+        expected = summarize_all(SeasonConfig(scenario=scenario, n_sims=2000))
+        assert json.loads(out) == [summary.as_dict() for summary in expected.values()]
+
+
+def test_simulate_mean_outside_band(capsys):
+    # one season in forty scores, so the nonelite driver mean lies above its 0..0 band
+    code, out, err = run_cli(capsys, ["simulate", "--races-full", "0", "--races-sprint", "1",
+                                      "--sims", "40", "--seed", "31", "--format", "json"])
+    assert code == 0
+    row = {row["category"]: row for row in json.loads(out)}["nonelite_driver"]
+    assert (row["ci_low"], row["ci_high"], row["mean_points"]) == (0.0, 0.0, 0.025)
+    assert read_manifest(err)["subcommand"] == "simulate"
+
+
 def test_dominant_scenario_season_defaults(capsys):
     # the dominant benchmark season swaps six full rounds for sprints
     _, _, err = run_cli(capsys, ["simulate", "--scenario", "dominant", "--sims", "2000"])
@@ -171,6 +191,9 @@ def test_manifest_reports_run(capsys):
     assert set(manifest["params"]) == {
         "mu_elite", "mu_nonelite", "sigma_elite", "sigma_nonelite",
         "cov_elite_pair", "cov_nonelite_pair", "z_table_limit",
+    }
+    assert set(manifest["config"]) == {
+        "races_full", "races_sprint", "n_sims", "master_seed", "scenario", "workers", "format",
     }
     assert "timestamp" in manifest and "version" in manifest
 
@@ -242,6 +265,18 @@ def test_failed_run_writes_no_manifest(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["simulate", "--rookie", "--scenario", "dominant"] + SMALL)
     assert code == 1
     assert err == "f1bench: error: the rookie benchmark is defined on the baseline scenario\n"
+
+
+def test_unwritable_manifest_path_is_an_error(tmp_path, capsys):
+    # a file in a missing directory, then a directory
+    _, expected, _ = run_cli(capsys, ["simulate"] + SMALL)
+    for path in (tmp_path / "missing" / "m.json", tmp_path):
+        code, out, err = run_cli(capsys, ["simulate", "--manifest", str(path)] + SMALL)
+        assert code == 1
+        assert out == expected
+        (line,) = err.splitlines()
+        assert line.startswith(f"f1bench: error: cannot write manifest {path}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_cache_round_trip(tmp_path, capsys):

@@ -170,7 +170,7 @@ def test_expected_season_points():
 
 def test_expected_season_points_dominant():
     params = make_params("dominant")
-    config = SeasonConfig(races_full=18, races_sprint=6, scenario="dominant")
+    config = SeasonConfig(scenario="dominant")
     value = expected_season_points(params, "elite", config)
     assert abs(value - EXPECTED_DOMINANT_ELITE_SEASON) <= 1e-9
     assert abs(value - 195.871) <= 0.5

@@ -18,7 +18,7 @@ from f1bench.calibration import make_params
 from f1bench.normal import (
     _ACK_A, _ACK_B, _ACK_C, _ACK_D, _P_LOW, _acklam, std_normal_cdf, std_normal_quantile,
 )
-from f1bench.probabilities import position_distribution
+from f1bench.probabilities import FULL_RACE_POINTS, SPRINT_POINTS, position_distribution
 from f1bench.simulate import (
     CATEGORIES, CHUNK_SIMS, DEFAULT_SEED, SCENARIO_SEASONS,
     SeasonConfig, SimulationSummary, load_cached_summaries,
@@ -27,7 +27,7 @@ from f1bench.simulate import (
     simulate_team_season, store_summaries, summarize, summarize_all,
 )
 from f1bench.simulate import (
-    _BLOCK_SIMS, _EDGE_MARGIN, _race_points, _race_step, _rank_plan, _ranks, _summary,
+    _BLOCK_SIMS, _EDGE_MARGIN, _race_step, _rank_plan, _ranks, _summary,
     _uniform_chunk,
 )
 
@@ -66,11 +66,12 @@ def test_round_to_position_scalar():
 
 def test_race_format_order():
     # full races occupy the leading race indices, sprints the rest
-    config = SeasonConfig(races_full=2, races_sprint=1, n_sims=100)
-    assert _race_points(config, 0)[0] == 25
-    assert _race_points(config, 1)[0] == 25
-    assert _race_points(config, 2)[0] == 8
+    config = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000)
     assert config.races == 3
+    full, sprint = np.array(FULL_RACE_POINTS), np.array(SPRINT_POINTS)
+    expected = sum(table[sample_positions(PARAMS, "elite", config, race=race) - 1]
+                   for race, table in enumerate((full, full, sprint)))
+    assert (season_totals("elite_driver", config) == expected).all()
 
 
 def test_uniform_offset_is_tail_of_full_draw():
@@ -111,13 +112,43 @@ def test_season_config_canonicalizes_scenario():
     assert SCENARIO_SEASONS["baseline"] == (24, 6)
 
 
+def test_season_config_takes_the_scenario_calendar():
+    for name, scenario in (("baseline", "baseline"), ("dominant", "dominant"),
+                           ("dominant_manufacturer", "dominant")):
+        config = SeasonConfig(scenario=name)
+        assert (config.races_full, config.races_sprint) == SCENARIO_SEASONS[scenario], name
+        # an explicit count wins, one field at a time
+        full, sprint = SCENARIO_SEASONS[scenario]
+        only_full = SeasonConfig(races_full=5, scenario=name)
+        assert (only_full.races_full, only_full.races_sprint) == (5, sprint), name
+        only_sprint = SeasonConfig(races_sprint=0, scenario=name)
+        assert (only_sprint.races_full, only_sprint.races_sprint) == (full, 0), name
+
+
 def test_simulation_summary_validation():
     with pytest.raises(ValueError):
         SimulationSummary(category="podium", mean_points=1.0,
                           ci_low=0.0, ci_high=2.0, n_sims=100)
     with pytest.raises(ValueError):
-        SimulationSummary(category="elite_driver", mean_points=5.0,
-                          ci_low=6.0, ci_high=7.0, n_sims=100)
+        SimulationSummary(category="elite_driver", mean_points=6.5,
+                          ci_low=7.0, ci_high=6.0, n_sims=100)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SimulationSummary(category="elite_driver", mean_points=value,
+                              ci_low=6.0, ci_high=7.0, n_sims=100)
+        with pytest.raises(ValueError):
+            SimulationSummary(category="elite_driver", mean_points=6.5,
+                              ci_low=6.0, ci_high=value, n_sims=100)
+
+
+def test_summary_mean_may_lie_outside_the_band():
+    # one season in forty scores a point, so the band is 0..0 and the mean 0.025
+    config = SeasonConfig(races_full=0, races_sprint=1, n_sims=40, master_seed=31)
+    totals = season_totals("nonelite_driver", config)
+    assert totals.sum() == 1
+    summary = summarize("nonelite_driver", config)
+    assert summary == _summary_of("nonelite_driver", totals)
+    assert (summary.ci_low, summary.ci_high, summary.mean_points) == (0.0, 0.0, 0.025)
 
 
 def test_determinism_same_seed():
@@ -401,7 +432,7 @@ def test_law_equivalence():
 def test_one_race_samples_score_like_season_totals():
     # with a single race, the sampled race is the whole season
     config = SeasonConfig(races_full=1, races_sprint=0, n_sims=CHUNK_SIMS + 1000)
-    points = _race_points(config, 0)
+    points = np.array(FULL_RACE_POINTS)
     for driver_class in ("elite", "nonelite"):
         positions = sample_positions(PARAMS, driver_class, config)
         assert (points[positions - 1]
@@ -479,9 +510,7 @@ def test_summaries_equal_summaries_of_season_totals():
     # in a partial block
     n_sims = 2 * CHUNK_SIMS + 3 * _BLOCK_SIMS + 5
     for scenario in ("baseline", "dominant"):
-        full, sprint = SCENARIO_SEASONS[scenario]
-        config = SeasonConfig(races_full=full, races_sprint=sprint, n_sims=n_sims,
-                              scenario=scenario)
+        config = SeasonConfig(n_sims=n_sims, scenario=scenario)
         params = make_params(scenario)
         expected = {
             category: _summary_of(category, season_totals(category, config, params=params,
@@ -676,11 +705,15 @@ def test_malformed_summary_cache_entry_is_a_miss(tmp_path, capsys):
         (key, entry), = json.load(handle).items()
     renamed = dict(entry, elite_team=dict(entry["elite_team"], category="elite_driver"))
     resized = {category: dict(fields, n_sims=7) for category, fields in entry.items()}
+    inverted = dict(entry, elite_team=dict(entry["elite_team"], ci_low=700.0, ci_high=600.0))
+    not_a_number = dict(entry, elite_team=dict(entry["elite_team"], mean_points=float("nan")))
     for bad in (
         {category: fields for category, fields in entry.items() if category != "elite_team"},
         dict(entry, rookie_elite_driver=entry["elite_driver"]),
         renamed,
         resized,
+        inverted,
+        not_a_number,
         ["elite_driver", "elite_team", "nonelite_driver", "nonelite_team"],
     ):
         with open(path, "w", encoding="utf-8") as handle:
