@@ -15,7 +15,7 @@ from importlib import resources
 from .calibration import DRIVER_CLASSES
 
 __all__ = [
-    "ENTITIES", "OUTCOMES", "ARROWS", "CSV_FIELDS",
+    "ENTITIES", "OUTCOMES", "ARROWS", "CSV_FIELDS", "VERDICT_FIELDS",
     "SeasonRecord", "Verdict", "classify", "classify_season",
     "ingest_results", "load_bundled_results",
     "markdown_report", "verdict_rows",
@@ -25,6 +25,7 @@ ENTITIES = ("driver", "team")
 OUTCOMES = ("above", "meets", "below")
 ARROWS = {"above": "↑", "meets": "→", "below": "↓"}
 CSV_FIELDS = ("name", "team", "class", "points", "entity")
+VERDICT_FIELDS = ("name", "team", "class", "entity", "points", "ci_low", "ci_high", "outcome")
 
 BUNDLED_RESULTS = "season_2025.csv"
 
@@ -164,18 +165,13 @@ def load_bundled_results():
 
 
 def verdict_rows(verdicts):
-    """Verdicts as plain dicts with textual outcomes, for JSON or CSV."""
+    """Verdicts as plain dicts keyed by ``VERDICT_FIELDS``, for JSON or CSV."""
     return [
-        {
-            "name": verdict.record.name,
-            "team": verdict.record.team,
-            "class": verdict.record.entrant_class,
-            "entity": verdict.record.entity,
-            "points": verdict.record.points,
-            "ci_low": verdict.benchmark.ci_low,
-            "ci_high": verdict.benchmark.ci_high,
-            "outcome": verdict.outcome,
-        }
+        dict(zip(VERDICT_FIELDS, (
+            verdict.record.name, verdict.record.team, verdict.record.entrant_class,
+            verdict.record.entity, verdict.record.points,
+            verdict.benchmark.ci_low, verdict.benchmark.ci_high, verdict.outcome,
+        )))
         for verdict in verdicts
     ]
 

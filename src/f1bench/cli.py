@@ -4,15 +4,17 @@ Four subcommands cover the pipeline: ``calibrate`` prints the model
 parameters with the residuals of their defining equations, ``probs``
 prints the analytic outcome probabilities, ``simulate`` runs the Monte
 Carlo benchmarks and ``benchmark`` judges actual season results
-against them.
+against them.  Each takes ``--scenario``, ``--format`` and
+``--manifest``; only the two that simulate take the season flags.
 
 Every successful run emits a JSON manifest (to stderr, or to a file
 with ``--manifest``) once the subcommand has finished, recording the
-resolved configuration, the parameter values and the tool version;
-re-running with the manifest's seed and configuration reproduces the
-output byte for byte.  A run that fails emits none.  Exit codes: 0 on
-success, 1 for validation errors (bad flags, malformed input files),
-2 when a numeric self-check fails.
+inputs the run read, the parameter values and the tool version;
+re-running with the manifest's configuration reproduces the output
+byte for byte.  A run that fails emits none, and a manifest path that
+cannot be written fails the run before the subcommand starts.  Exit
+codes: 0 on success, 1 for validation errors (bad flags, malformed
+input files), 2 when a numeric self-check fails.
 """
 
 import argparse
@@ -25,10 +27,12 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .benchmark import (
-    ingest_results, classify_season, load_bundled_results,
+    VERDICT_FIELDS, ingest_results, classify_season, load_bundled_results,
     markdown_report, verdict_rows,
 )
-from .calibration import SCENARIO_ALIASES, SCENARIOS, calibration_residuals, make_params
+from .calibration import (
+    SCENARIO_ALIASES, SCENARIOS, calibration_residuals, canonical_scenario, make_params,
+)
 from .probabilities import (
     AGGREGATE_KINDS, aggregate_probability, position_distribution,
 )
@@ -41,7 +45,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_SELFCHECK = 2
 
-SEED_ENV_VAR = "F1BENCH_SEED"
 RESIDUAL_TOLERANCE = 1e-9
 BIN_SUM_TOLERANCE = 1e-9
 
@@ -57,39 +60,36 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INVALID)
 
 
-def _default_seed():
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def _fail(message):
     print(f"f1bench: error: {message}", file=sys.stderr)
     return EXIT_INVALID
 
 
-def _add_common(parser):
+def _add_common(parser, default_format="csv"):
+    """Flags every subcommand reads."""
     parser.add_argument("--scenario", default="baseline",
                         choices=(*SCENARIOS, *SCENARIO_ALIASES),
                         help="parameter scenario (default: baseline)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"master seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    parser.add_argument("--sims", type=int, default=1_000_000,
-                        help="number of simulated seasons (default: 1000000)")
+    parser.add_argument("--format", default=default_format, choices=FORMATS,
+                        help=f"output format (default: {default_format})")
+    parser.add_argument("--manifest", default=None, metavar="PATH",
+                        help="write the run manifest JSON to PATH instead of stderr")
+
+
+def _add_season(parser):
+    """Flags of the subcommands that simulate seasons."""
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help=f"master seed (default: {DEFAULT_SEED})")
+    parser.add_argument("--sims", type=int, default=SeasonConfig.n_sims,
+                        help=f"number of simulated seasons (default: {SeasonConfig.n_sims})")
     parser.add_argument("--races-full", type=int, default=None,
                         help="full races per season (default: per scenario)")
     parser.add_argument("--races-sprint", type=int, default=None,
                         help="sprint races per season (default: per scenario)")
-    parser.add_argument("--format", default=None, choices=FORMATS,
-                        help="output format (default: csv; benchmark: md)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker threads (at least 1); has no effect on results")
-    parser.add_argument("--manifest", default=None, metavar="PATH",
-                        help="write the run manifest JSON to PATH instead of stderr")
+    parser.add_argument("--cache", default=None, metavar="PATH",
+                        help="summary cache file to read and update")
 
 
 def build_parser():
@@ -105,41 +105,42 @@ def build_parser():
 
     simulate = commands.add_parser("simulate", help="run Monte Carlo season benchmarks")
     _add_common(simulate)
+    _add_season(simulate)
     simulate.add_argument("--rookie", action="store_true",
                           help="emit the halved first-season elite driver benchmark")
-    simulate.add_argument("--cache", default=None, metavar="PATH",
-                          help="summary cache file to read and update")
 
     bench = commands.add_parser("benchmark", help="judge season results against benchmarks")
-    _add_common(bench)
+    _add_common(bench, default_format="md")
+    _add_season(bench)
     bench.add_argument("results", nargs="?", default=None,
                        help="season results CSV (default: bundled 2025 season)")
-    bench.add_argument("--cache", default=None, metavar="PATH",
-                       help="summary cache file to read and update")
     return parser
 
 
-def _resolve_config(args):
+def _season_config(args):
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    seed = args.seed if args.seed is not None else _default_seed()
     return SeasonConfig(
         races_full=args.races_full,
         races_sprint=args.races_sprint,
         n_sims=args.sims,
-        master_seed=seed,
+        master_seed=args.seed,
         scenario=args.scenario,
     )
 
 
-def _emit_manifest(args, config, params):
+def _check_manifest_path(path):
+    """Fail before the run where writing the manifest after it must fail."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write manifest {path}: is a directory")
+    if not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise ValueError(f"cannot write manifest {path}: no such directory")
+
+
+def _emit_manifest(args, recorded, params):
     manifest = {
         "subcommand": args.command,
-        "config": {
-            **dataclasses.asdict(config),
-            "workers": args.workers,
-            "format": _resolve_format(args),
-        },
+        "config": recorded,
         "params": dataclasses.asdict(params),
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -150,12 +151,6 @@ def _emit_manifest(args, config, params):
             handle.write(text + "\n")
     else:
         print(text, file=sys.stderr)
-
-
-def _resolve_format(args):
-    if args.format is not None:
-        return args.format
-    return "md" if args.command == "benchmark" else "csv"
 
 
 def _print_table(rows, fieldnames, fmt):
@@ -190,7 +185,7 @@ def cmd_calibrate(args, config, params):
         }
         for name, value in dataclasses.asdict(params).items()
     ]
-    _print_table(rows, ("parameter", "value", "residual"), _resolve_format(args))
+    _print_table(rows, ("parameter", "value", "residual"), args.format)
     if any(abs(residual) > RESIDUAL_TOLERANCE for residual in residuals.values()):
         print("f1bench: calibration residuals exceed 1e-9", file=sys.stderr)
         return EXIT_SELFCHECK
@@ -220,20 +215,19 @@ def cmd_probs(args, config, params):
             "elite": aggregate_probability(params, "elite", kind),
             "nonelite": aggregate_probability(params, "nonelite", kind),
         })
-    _print_table(rows, ("outcome", "elite", "nonelite"), _resolve_format(args))
+    _print_table(rows, ("outcome", "elite", "nonelite"), args.format)
     return EXIT_OK
 
 
 def _summaries_for(args, config):
-    cache_path = getattr(args, "cache", None)
-    summaries = load_cached_summaries(cache_path, config)
+    summaries = load_cached_summaries(args.cache, config)
     if summaries is None:
         summaries = summarize_all(config, workers=args.workers)
-        if cache_path:
+        if args.cache:
             try:
-                store_summaries(cache_path, config, summaries)
+                store_summaries(args.cache, config, summaries)
             except OSError as exc:
-                raise ValueError(f"cannot write summary cache {cache_path}: {exc}") from None
+                raise ValueError(f"cannot write summary cache {args.cache}: {exc}") from None
     return summaries
 
 
@@ -246,7 +240,7 @@ def cmd_simulate(args, config, params):
         rows = [{**rookie.as_dict(), "category": "rookie_elite_driver"}]
     else:
         rows = [summaries[category].as_dict() for category in CATEGORIES]
-    _print_table(rows, tuple(rows[0]), _resolve_format(args))
+    _print_table(rows, tuple(rows[0]), args.format)
     return EXIT_OK
 
 
@@ -261,16 +255,14 @@ def cmd_benchmark(args, config, params):
             return _fail(f"cannot read results file: {exc}")
     summaries = _summaries_for(args, config)
     verdicts = classify_season(records, summaries)
-    fmt = _resolve_format(args)
-    if fmt == "md":
+    if args.format == "md":
         sys.stdout.write(markdown_report(verdicts))
     else:
-        rows = verdict_rows(verdicts)
-        _print_table(rows, ("name", "team", "class", "entity", "points",
-                            "ci_low", "ci_high", "outcome"), fmt)
+        _print_table(verdict_rows(verdicts), VERDICT_FIELDS, args.format)
     return EXIT_OK
 
 
+_SEASON_COMMANDS = ("simulate", "benchmark")
 _COMMANDS = {
     "calibrate": cmd_calibrate,
     "probs": cmd_probs,
@@ -280,11 +272,17 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-        params = make_params(config.scenario)
+        if args.manifest:
+            _check_manifest_path(args.manifest)
+        if args.command in _SEASON_COMMANDS:
+            config = _season_config(args)
+            recorded = {**dataclasses.asdict(config), "workers": args.workers}
+        else:
+            config = None
+            recorded = {"scenario": canonical_scenario(args.scenario)}
+        params = make_params(recorded["scenario"])
     except ValueError as exc:
         return _fail(str(exc))
     try:
@@ -293,7 +291,7 @@ def main(argv=None):
         return _fail(str(exc))
     if code == EXIT_OK:
         try:
-            _emit_manifest(args, config, params)
+            _emit_manifest(args, {**recorded, "format": args.format}, params)
         except OSError as exc:
             return _fail(f"cannot write manifest {args.manifest}: {exc}")
     return code

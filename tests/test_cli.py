@@ -8,11 +8,12 @@ is exercised.
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from f1bench.cli import SEED_ENV_VAR, main
+from f1bench.cli import build_parser, main
 from f1bench.simulate import SeasonConfig, SimulationSummary, store_summaries, summarize_all
 
 # Full-scale (1e6 sims, seed 2025) summaries frozen from a verified
@@ -219,20 +220,44 @@ def test_manifest_round_trip(tmp_path, capsys):
     assert second == first
 
 
-def test_env_var_seed(monkeypatch, capsys):
-    monkeypatch.setenv(SEED_ENV_VAR, "777")
-    _, _, err = run_cli(capsys, ["simulate"] + SMALL)
-    assert read_manifest(err)["config"]["master_seed"] == 777
-    # an explicit flag wins over the environment
-    _, _, err = run_cli(capsys, ["simulate", "--seed", "5"] + SMALL)
-    assert read_manifest(err)["config"]["master_seed"] == 5
+def test_seed_comes_only_from_the_flag(monkeypatch, capsys):
+    # the environment is not a second way in for the seed
+    monkeypatch.setenv("F1BENCH_SEED", "abc")
+    for argv in (["calibrate"], ["probs"], ["benchmark"] + SMALL, ["simulate"] + SMALL):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0
+    assert read_manifest(err)["config"]["master_seed"] == 2025
 
 
-def test_env_var_seed_must_be_integer(monkeypatch, capsys):
-    monkeypatch.setenv(SEED_ENV_VAR, "notanint")
-    code, _, err = run_cli(capsys, ["simulate"] + SMALL)
-    assert code == 1
-    assert SEED_ENV_VAR in err
+@pytest.mark.parametrize("command", ["calibrate", "probs"])
+@pytest.mark.parametrize("flag", [["--seed", "7"], ["--sims", "2000"], ["--races-full", "3"],
+                                  ["--races-sprint", "1"], ["--workers", "2"],
+                                  ["--cache", "cache.json"]], ids=lambda flag: flag[0])
+def test_analytic_commands_reject_season_flags(command, flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command] + flag)
+    assert excinfo.value.code == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_calibrate_manifest_records_only_what_it_reads(capsys):
+    code, _, err = run_cli(capsys, ["calibrate", "--scenario", "dominant_manufacturer"])
+    assert code == 0
+    assert read_manifest(err)["config"] == {"format": "csv", "scenario": "dominant"}
+
+
+def test_readme_lists_each_subcommands_flags():
+    # one list item per subcommand, continued on indented lines
+    items = re.findall(r"^- `f1bench (\w+)`: (.*(?:\n  .*)*)",
+                       README.read_text(encoding="utf-8"), re.MULTILINE)
+    listed = {command: set(re.findall(r"`(--[a-z-]+)`", flags)) for command, flags in items}
+    parser = build_parser()
+    declared = {
+        command: {"--" + dest.replace("_", "-") for dest in vars(parser.parse_args([command]))
+                  if dest not in ("command", "results")}
+        for command in ("calibrate", "probs", "simulate", "benchmark")
+    }
+    assert listed == declared
 
 
 def test_invalid_sims_rejected(capsys):
@@ -268,12 +293,11 @@ def test_failed_run_writes_no_manifest(tmp_path, capsys):
 
 
 def test_unwritable_manifest_path_is_an_error(tmp_path, capsys):
-    # a file in a missing directory, then a directory
-    _, expected, _ = run_cli(capsys, ["simulate"] + SMALL)
+    # a file in a missing directory, then a directory: both fail before the run
     for path in (tmp_path / "missing" / "m.json", tmp_path):
         code, out, err = run_cli(capsys, ["simulate", "--manifest", str(path)] + SMALL)
         assert code == 1
-        assert out == expected
+        assert out == ""
         (line,) = err.splitlines()
         assert line.startswith(f"f1bench: error: cannot write manifest {path}: ")
     assert list(tmp_path.iterdir()) == []
@@ -381,6 +405,15 @@ def test_benchmark_custom_results_file(tmp_path, capsys):
     rows = json.loads(out)
     assert rows[0]["name"] == "Prodigy"
     assert rows[0]["outcome"] in ("above", "meets", "below")
+
+
+def test_benchmark_header_only_file(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text("name,team,class,points,entity\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["benchmark", str(results), "--format", "csv"] + SMALL)
+    assert (code, out) == (0, "name,team,class,entity,points,ci_low,ci_high,outcome\n")
+    code, out, _ = run_cli(capsys, ["benchmark", str(results), "--format", "json"] + SMALL)
+    assert (code, json.loads(out)) == (0, [])
 
 
 def test_benchmark_missing_file(capsys):
