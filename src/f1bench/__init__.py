@@ -18,7 +18,6 @@ from .calibration import (
 from .normal import std_normal_cdf, std_normal_quantile
 from .probabilities import (
     aggregate_probability, expected_season_points, position_distribution,
-    position_probability,
 )
 from .simulate import (
     SeasonConfig, SimulationSummary, rookie_benchmark,
@@ -32,8 +31,7 @@ __all__ = [
     "ModelParams", "make_params",
     "calibrate_sigma_elite", "calibrate_sigma_nonelite",
     "calibrate_cov_elite", "calibrate_cov_nonelite",
-    "position_probability", "position_distribution",
-    "aggregate_probability", "expected_season_points",
+    "position_distribution", "aggregate_probability", "expected_season_points",
     "SeasonConfig", "SimulationSummary", "simulate_driver_season",
     "simulate_team_season", "summarize", "summarize_all", "rookie_benchmark",
     "SeasonRecord", "Verdict", "classify", "classify_season",

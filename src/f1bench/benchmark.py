@@ -18,7 +18,7 @@ __all__ = [
     "ENTITIES", "OUTCOMES", "ARROWS", "CSV_FIELDS", "VERDICT_FIELDS",
     "SeasonRecord", "Verdict", "classify", "classify_season",
     "ingest_results", "load_bundled_results",
-    "markdown_report", "verdict_rows",
+    "markdown_table", "markdown_report", "verdict_rows",
 ]
 
 ENTITIES = ("driver", "team")
@@ -180,6 +180,15 @@ def _points_text(points):
     return f"{points:g}"
 
 
+def markdown_table(columns, rows):
+    """Lines of a markdown table: a header, its rule and one line per row of cell texts."""
+    return [
+        "| " + " | ".join(columns) + " |",
+        "|" + "|".join(" --- " for _ in columns) + "|",
+        *("| " + " | ".join(cells) + " |" for cells in rows),
+    ]
+
+
 def markdown_report(verdicts):
     """Markdown tables of driver and team verdicts with arrow glyphs."""
     lines = []
@@ -194,13 +203,13 @@ def markdown_report(verdicts):
             lines.append("")
         lines.append(f"## {title}")
         lines.append("")
-        lines.append("| " + " | ".join(columns) + " |")
-        lines.append("|" + "|".join(" --- " for _ in columns) + "|")
+        table = []
         for verdict in rows:
             record = verdict.record
             cells = [record.name]
             if entity == "driver":
                 cells.append(record.team)
             cells.extend([_points_text(record.points), verdict.arrow])
-            lines.append("| " + " | ".join(cells) + " |")
+            table.append(cells)
+        lines.extend(markdown_table(columns, table))
     return "\n".join(lines) + "\n"

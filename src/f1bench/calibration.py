@@ -69,7 +69,6 @@ class ModelParams:
     sigma_nonelite: float
     cov_elite_pair: float
     cov_nonelite_pair: float
-    z_table_limit: float = Z_TABLE_LIMIT
 
     def __post_init__(self):
         if not (self.sigma_elite > 0.0 and self.sigma_nonelite > 0.0):
@@ -165,6 +164,6 @@ def calibration_residuals(params):
     return {
         "sigma_elite": 8.0 * std_normal_cdf(-3.0 / params.sigma_elite) - 1.0,
         "sigma_nonelite": 12.0 * std_normal_cdf(-5.0 / params.sigma_nonelite) - 1.0,
-        "cov_elite_pair": pair_std_elite - 6.0 / params.z_table_limit,
-        "cov_nonelite_pair": pair_std_nonelite - 10.0 / params.z_table_limit,
+        "cov_elite_pair": pair_std_elite - 6.0 / Z_TABLE_LIMIT,
+        "cov_nonelite_pair": pair_std_nonelite - 10.0 / Z_TABLE_LIMIT,
     }

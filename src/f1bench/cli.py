@@ -28,10 +28,11 @@ from datetime import datetime, timezone
 from . import __version__
 from .benchmark import (
     VERDICT_FIELDS, ingest_results, classify_season, load_bundled_results,
-    markdown_report, verdict_rows,
+    markdown_report, markdown_table, verdict_rows,
 )
 from .calibration import (
-    SCENARIO_ALIASES, SCENARIOS, calibration_residuals, canonical_scenario, make_params,
+    DRIVER_CLASSES, SCENARIO_ALIASES, SCENARIOS, calibration_residuals, canonical_scenario,
+    make_params,
 )
 from .probabilities import (
     AGGREGATE_KINDS, aggregate_probability, position_distribution,
@@ -163,10 +164,8 @@ def _print_table(rows, fieldnames, fmt):
         json.dump(rows, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        print("| " + " | ".join(fieldnames) + " |")
-        print("|" + "|".join(" --- " for _ in fieldnames) + "|")
-        for row in rows:
-            print("| " + " | ".join(_cell(row[name]) for name in fieldnames) + " |")
+        cells = ([_cell(row[name]) for name in fieldnames] for row in rows)
+        print("\n".join(markdown_table(fieldnames, cells)))
 
 
 def _cell(value):
@@ -193,29 +192,20 @@ def cmd_calibrate(args, config, params):
 
 
 def cmd_probs(args, config, params):
-    outcome_rows = [(f"p{k}", k - 1) for k in range(1, 11)]
     distributions = {}
-    for driver_class in ("elite", "nonelite"):
+    for driver_class in DRIVER_CLASSES:
         probs = position_distribution(params, driver_class)
         if abs(probs.sum() - 1.0) > BIN_SUM_TOLERANCE:
             print(f"f1bench: {driver_class} position probabilities do not sum to 1",
                   file=sys.stderr)
             return EXIT_SELFCHECK
         distributions[driver_class] = probs
-    rows = []
-    for label, index in outcome_rows:
-        rows.append({
-            "outcome": label,
-            "elite": distributions["elite"][index],
-            "nonelite": distributions["nonelite"][index],
-        })
-    for kind in AGGREGATE_KINDS:
-        rows.append({
-            "outcome": kind,
-            "elite": aggregate_probability(params, "elite", kind),
-            "nonelite": aggregate_probability(params, "nonelite", kind),
-        })
-    _print_table(rows, ("outcome", "elite", "nonelite"), args.format)
+    rows = [{"outcome": f"p{k}", **{c: distributions[c][k - 1] for c in DRIVER_CLASSES}}
+            for k in range(1, 11)]
+    rows += [{"outcome": kind,
+              **{c: aggregate_probability(params, c, kind) for c in DRIVER_CLASSES}}
+             for kind in AGGREGATE_KINDS]
+    _print_table(rows, ("outcome", *DRIVER_CLASSES), args.format)
     return EXIT_OK
 
 
@@ -249,7 +239,8 @@ def cmd_benchmark(args, config, params):
         records = load_bundled_results()
     else:
         try:
-            with open(args.results, encoding="utf-8", newline="") as handle:
+            # utf-8-sig also reads the byte-order mark of spreadsheet exports
+            with open(args.results, encoding="utf-8-sig", newline="") as handle:
                 records = ingest_results(handle)
         except OSError as exc:
             return _fail(f"cannot read results file: {exc}")
@@ -262,7 +253,8 @@ def cmd_benchmark(args, config, params):
     return EXIT_OK
 
 
-_SEASON_COMMANDS = ("simulate", "benchmark")
+# The input each season command reads beyond the season flags.
+_SEASON_COMMANDS = {"simulate": "rookie", "benchmark": "results"}
 _COMMANDS = {
     "calibrate": cmd_calibrate,
     "probs": cmd_probs,
@@ -278,7 +270,9 @@ def main(argv=None):
             _check_manifest_path(args.manifest)
         if args.command in _SEASON_COMMANDS:
             config = _season_config(args)
-            recorded = {**dataclasses.asdict(config), "workers": args.workers}
+            extra = _SEASON_COMMANDS[args.command]
+            recorded = {**dataclasses.asdict(config), "workers": args.workers,
+                        extra: getattr(args, extra)}
         else:
             config = None
             recorded = {"scenario": canonical_scenario(args.scenario)}

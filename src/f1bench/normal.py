@@ -15,7 +15,7 @@ bit-stable across platforms that implement IEEE 754 doubles.
 
 import numpy as np
 
-__all__ = ["erfc", "std_normal_cdf", "std_normal_quantile"]
+__all__ = ["std_normal_cdf", "std_normal_quantile"]
 
 # Cody's coefficients: erf on |y| <= 0.46875, erfc on 0.46875 < y <= 4,
 # and the asymptotic erfc expansion beyond 4.
@@ -91,16 +91,6 @@ def _erfc_nonneg(y):
         out[tail] = np.exp(-ysq * ysq) * np.exp(-delta) * r
 
     return out
-
-
-def erfc(x):
-    """Complementary error function for scalars or arrays."""
-    x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    nonneg = _erfc_nonneg(np.abs(x))
-    out = np.where(x >= 0.0, nonneg, 2.0 - nonneg)
-    return float(out[0]) if scalar else out
 
 
 def std_normal_cdf(z):

@@ -14,8 +14,7 @@ from .normal import std_normal_cdf
 
 __all__ = [
     "FULL_RACE_POINTS", "SPRINT_POINTS", "AGGREGATE_KINDS",
-    "position_probability", "position_distribution", "aggregate_probability",
-    "expected_race_points", "expected_season_points",
+    "position_distribution", "aggregate_probability", "expected_season_points",
 ]
 
 N_POSITIONS = 20
@@ -45,13 +44,6 @@ def position_distribution(params, driver_class):
     return np.diff(cdf_at_edges)
 
 
-def position_probability(params, driver_class, position):
-    """Probability that a driver of the given class classifies ``position``-th."""
-    if not (isinstance(position, (int, np.integer)) and 1 <= position <= N_POSITIONS):
-        raise ValueError(f"position must be an integer in 1..{N_POSITIONS}, got {position!r}")
-    return float(position_distribution(params, driver_class)[position - 1])
-
-
 def aggregate_probability(params, driver_class, kind):
     """Probability of a podium, top 8 or top 10 classification.
 
@@ -67,12 +59,6 @@ def aggregate_probability(params, driver_class, kind):
     return std_normal_cdf((boundary + 0.5 - mu) / sigma)
 
 
-def expected_race_points(params, driver_class, table):
-    """Expected points from a single race under a position->points map."""
-    probs = position_distribution(params, driver_class)
-    return float(probs @ np.asarray(table, dtype=np.float64))
-
-
 def expected_season_points(params, driver_class, config):
     """Exact expected season total for one driver.
 
@@ -82,6 +68,7 @@ def expected_season_points(params, driver_class, config):
     """
     if config.races_full < 0 or config.races_sprint < 0:
         raise ValueError("race counts must be non-negative")
-    per_full = expected_race_points(params, driver_class, FULL_RACE_POINTS)
-    per_sprint = expected_race_points(params, driver_class, SPRINT_POINTS)
+    probs = position_distribution(params, driver_class)
+    per_full, per_sprint = (float(probs @ np.asarray(table, dtype=np.float64))
+                            for table in (FULL_RACE_POINTS, SPRINT_POINTS))
     return config.races_full * per_full + config.races_sprint * per_sprint

@@ -87,7 +87,7 @@ def test_make_params_baseline():
     params = make_params()
     assert params.mu_elite == MU_ELITE == 4.5
     assert params.mu_nonelite == MU_NONELITE == 14.5
-    assert params.z_table_limit == Z_TABLE_LIMIT == 4.9
+    assert Z_TABLE_LIMIT == 4.9
 
 
 def test_make_params_dominant_shifts_only_the_elite_mean():

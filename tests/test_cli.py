@@ -5,10 +5,12 @@ captured stdout/stderr, so the whole pipeline short of process spawning
 is exercised.
 """
 
+import codecs
 import csv
 import io
 import json
 import re
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -191,10 +193,11 @@ def test_manifest_reports_run(capsys):
     assert abs(manifest["params"]["sigma_elite"] - 2.607903) <= 1e-5
     assert set(manifest["params"]) == {
         "mu_elite", "mu_nonelite", "sigma_elite", "sigma_nonelite",
-        "cov_elite_pair", "cov_nonelite_pair", "z_table_limit",
+        "cov_elite_pair", "cov_nonelite_pair",
     }
     assert set(manifest["config"]) == {
-        "races_full", "races_sprint", "n_sims", "master_seed", "scenario", "workers", "format",
+        "races_full", "races_sprint", "n_sims", "master_seed", "scenario", "workers", "rookie",
+        "format",
     }
     assert "timestamp" in manifest and "version" in manifest
 
@@ -218,6 +221,23 @@ def test_manifest_round_trip(tmp_path, capsys):
     ]
     _, second, _ = run_cli(capsys, replay)
     assert second == first
+
+
+def test_manifest_records_rookie_and_results_file(tmp_path, capsys):
+    _, plain, plain_err = run_cli(capsys, ["simulate"] + SMALL)
+    _, rookie, rookie_err = run_cli(capsys, ["simulate", "--rookie"] + SMALL)
+    assert rookie != plain
+    plain_config = read_manifest(plain_err)["config"]
+    assert plain_config["rookie"] is False
+    assert read_manifest(rookie_err)["config"] == {**plain_config, "rookie": True}
+
+    results = tmp_path / "results.csv"
+    results.write_text("name,team,class,points,entity\n"
+                       "Prodigy,Upstart,nonelite,88,driver\n", encoding="utf-8")
+    _, _, err = run_cli(capsys, ["benchmark"] + SMALL)
+    assert read_manifest(err)["config"]["results"] is None
+    _, _, err = run_cli(capsys, ["benchmark", str(results)] + SMALL)
+    assert read_manifest(err)["config"]["results"] == str(results)
 
 
 def test_seed_comes_only_from_the_flag(monkeypatch, capsys):
@@ -405,6 +425,44 @@ def test_benchmark_custom_results_file(tmp_path, capsys):
     rows = json.loads(out)
     assert rows[0]["name"] == "Prodigy"
     assert rows[0]["outcome"] in ("above", "meets", "below")
+
+
+def test_benchmark_reads_a_byte_order_mark(tmp_path, capsys):
+    # spreadsheet exports often start with a UTF-8 byte-order mark
+    cache = str(tmp_path / "cache.json")
+    store_summaries(cache, SeasonConfig(), FULL_SCALE_SUMMARIES)
+    bundled = resources.files("f1bench").joinpath("data", "season_2025.csv").read_bytes()
+    results = tmp_path / "bom.csv"
+    results.write_bytes(codecs.BOM_UTF8 + bundled)
+    code, plain, _ = run_cli(capsys, ["benchmark", "--cache", cache])
+    assert code == 0
+    code, out, _ = run_cli(capsys, ["benchmark", str(results), "--cache", cache])
+    assert (code, out) == (0, plain)
+
+
+def test_team_rows_are_judged_on_their_own_points(tmp_path, capsys):
+    # a team row is not cross-checked against its drivers' rows, so a
+    # file may also hold team rows only
+    cache = str(tmp_path / "cache.json")
+    store_summaries(cache, SeasonConfig(), FULL_SCALE_SUMMARIES)
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "name,team,class,points,entity\n"
+        "A,X,nonelite,10,driver\n"
+        "B,X,nonelite,5,driver\n"
+        "X,X,nonelite,99,team\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(capsys, ["benchmark", str(results), "--cache", cache])
+    assert code == 0
+    assert "| X | 99 | ↑ |" in out
+    results.write_text("name,team,class,points,entity\nX,X,nonelite,99,team\n",
+                       encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["benchmark", str(results), "--cache", cache])
+    assert (code, out) == (0, "## Teams\n\n"
+                              "| Team | Points | Performance |\n"
+                              "| --- | --- | --- |\n"
+                              "| X | 99 | ↑ |\n")
 
 
 def test_benchmark_header_only_file(tmp_path, capsys):

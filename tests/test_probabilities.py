@@ -17,8 +17,7 @@ from f1bench.calibration import SCENARIOS, make_params
 from f1bench.normal import std_normal_cdf
 from f1bench.probabilities import (
     AGGREGATE_KINDS, FULL_RACE_POINTS, SPRINT_POINTS, aggregate_probability,
-    expected_race_points, expected_season_points, position_distribution,
-    position_probability,
+    expected_season_points, position_distribution,
 )
 from f1bench.simulate import SeasonConfig
 
@@ -49,9 +48,11 @@ def normal_bin_mass(mu, sigma, lo, hi):
 
 def test_frozen_examples():
     params = make_params()
-    assert abs(position_probability(params, "elite", 1) - ELITE_P1) <= 1e-12
-    assert abs(position_probability(params, "elite", 3) - ELITE_P3) <= 1e-12
-    assert abs(position_probability(params, "nonelite", 1) - NONELITE_P1) <= 1e-12
+    elite = position_distribution(params, "elite")
+    nonelite = position_distribution(params, "nonelite")
+    assert abs(elite[0] - ELITE_P1) <= 1e-12
+    assert abs(elite[2] - ELITE_P3) <= 1e-12
+    assert abs(nonelite[0] - NONELITE_P1) <= 1e-12
     assert abs(aggregate_probability(params, "elite", "podium") - ELITE_PODIUM) <= 1e-12
     assert abs(aggregate_probability(params, "elite", "top10") - ELITE_TOP10) <= 1e-12
     assert abs(aggregate_probability(params, "nonelite", "top10") - NONELITE_TOP10) <= 1e-12
@@ -61,8 +62,8 @@ def test_rounded_examples():
     # the same quantities at the coarser precision they are usually
     # quoted with
     params = make_params()
-    assert abs(position_probability(params, "elite", 3) - 0.12917) <= 1e-4
-    assert abs(position_probability(params, "nonelite", 1) - 1.62e-4) <= 1e-5
+    assert abs(position_distribution(params, "elite")[2] - 0.12917) <= 1e-4
+    assert abs(position_distribution(params, "nonelite")[0] - 1.62e-4) <= 1e-5
     assert abs(aggregate_probability(params, "elite", "podium") - 0.35069) <= 1e-4
     assert abs(aggregate_probability(params, "elite", "top10") - 0.98934) <= 1e-4
     assert abs(aggregate_probability(params, "nonelite", "top10") - 0.13432) <= 1e-4
@@ -98,12 +99,13 @@ def test_bins_equal_integer_offset_closed_forms():
     params = make_params()
     for driver_class, mu in (("elite", 4.5), ("nonelite", 14.5)):
         sigma = params.class_sigma(driver_class)
+        probs = position_distribution(params, driver_class)
         win = std_normal_cdf((1.5 - mu) / sigma)
-        assert abs(position_probability(params, driver_class, 1) - win) <= 1e-12
+        assert abs(probs[0] - win) <= 1e-12
         for k in range(2, 11):
             closed = (std_normal_cdf((k + 0.5 - mu) / sigma)
                       - std_normal_cdf((k - 0.5 - mu) / sigma))
-            assert abs(position_probability(params, driver_class, k) - closed) <= 1e-12
+            assert abs(probs[k - 1] - closed) <= 1e-12
 
 
 def test_aggregates_equal_bin_sums_and_closed_forms():
@@ -141,9 +143,6 @@ def test_nonelite_shape_is_unimodal():
 
 def test_position_validation():
     params = make_params()
-    for bad in (0, 21, -3, 2.5, "3"):
-        with pytest.raises(ValueError):
-            position_probability(params, "elite", bad)
     with pytest.raises(ValueError):
         aggregate_probability(params, "elite", "top5")
 
@@ -179,8 +178,9 @@ def test_expected_season_points_dominant():
 def test_expected_season_points_composes_race_values():
     params = make_params()
     config = SeasonConfig(races_full=3, races_sprint=2)
-    per_full = expected_race_points(params, "elite", FULL_RACE_POINTS)
-    per_sprint = expected_race_points(params, "elite", SPRINT_POINTS)
+    probs = position_distribution(params, "elite")
+    per_full = float(probs @ np.asarray(FULL_RACE_POINTS, dtype=np.float64))
+    per_sprint = float(probs @ np.asarray(SPRINT_POINTS, dtype=np.float64))
     total = expected_season_points(params, "elite", config)
     assert abs(total - (3 * per_full + 2 * per_sprint)) <= 1e-12
 
