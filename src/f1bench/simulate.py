@@ -48,7 +48,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +58,7 @@ from .normal import _acklam, std_normal_quantile
 from .probabilities import FULL_RACE_POINTS, N_POSITIONS, SPRINT_POINTS
 
 __all__ = [
-    "CHUNK_SIMS", "DEFAULT_SEED", "CATEGORIES", "SCENARIO_SEASONS",
+    "CHUNK_SIMS", "DEFAULT_SEED", "MAX_RACES", "MAX_SIMS", "CATEGORIES", "SCENARIO_SEASONS",
     "SeasonConfig", "SimulationSummary", "round_to_position",
     "simulate_driver_season", "simulate_team_season", "season_totals",
     "summarize", "summarize_all", "rookie_benchmark",
@@ -96,10 +96,14 @@ CATEGORIES = ("elite_driver", "elite_team", "nonelite_driver", "nonelite_team")
 # weekends displace full rounds, giving 18 full races plus 6 sprints.
 SCENARIO_SEASONS = {"baseline": (24, 6), "dominant": (18, 6)}
 
-_FULL_PTS = np.asarray(FULL_RACE_POINTS, dtype=np.int64)
-_SPRINT_PTS = np.asarray(SPRINT_POINTS, dtype=np.int64)
-
 _MAX_SEED = 2 ** 64
+# Before the first race, ``_summaries`` allocates a team histogram of
+# 2 * (25 * races_full + 8 * races_sprint) + 1 int64s per team category;
+# at 10000 races that is at most 500001 of them, 4 MB.
+MAX_RACES = 10_000
+# ``_map_blocks`` lists a season run's blocks up front; 10^9 seasons are
+# 61036 blocks of ``_BLOCK_SIMS``, a list of under 10 MB.
+MAX_SIMS = 10 ** 9
 
 # The quantiles of the 95% interval, as np.percentile forms them.
 _BAND_QUANTILES = np.array([2.5, 97.5]) / 100
@@ -122,8 +126,13 @@ class SeasonConfig:
                 object.__setattr__(self, field, default)
         if self.races_full < 0 or self.races_sprint < 0:
             raise ValueError("race counts must be non-negative")
+        if self.races > MAX_RACES:
+            raise ValueError(f"races_full + races_sprint must be at most {MAX_RACES}, "
+                             f"got {self.races}")
         if self.n_sims < 1:
             raise ValueError("n_sims must be at least 1")
+        if self.n_sims > MAX_SIMS:
+            raise ValueError(f"n_sims must be at most {MAX_SIMS}, got {self.n_sims}")
         if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < _MAX_SEED):
             raise ValueError("master_seed must be an unsigned 64-bit integer")
 
@@ -284,7 +293,7 @@ def _race_step(plan, uniforms, work=None):
 
 def _season_top(config):
     """A driver's highest season total: a win in every race."""
-    return config.races_full * int(_FULL_PTS[0]) + config.races_sprint * int(_SPRINT_PTS[0])
+    return config.races_full * FULL_RACE_POINTS[0] + config.races_sprint * SPRINT_POINTS[0]
 
 
 def _total_dtype(config):
@@ -298,8 +307,8 @@ def _scoring_tables(dtype):
     Index 0 scores position 1, and ``np.take``'s clip mode scores every
     index below 0 as position 1 and every index above 20 as position 20.
     """
-    return [np.concatenate((points[:1], points)).astype(dtype)
-            for points in (_FULL_PTS, _SPRINT_PTS)]
+    return [np.array(points[:1] + points, dtype=dtype)
+            for points in (FULL_RACE_POINTS, SPRINT_POINTS)]
 
 
 def _season_block(params, categories, config, start, count):
@@ -329,12 +338,6 @@ def _season_block(params, categories, config, start, count):
     return [totals[list(read)].sum(axis=0, dtype=np.int64) for read in plan.reads]
 
 
-def _block_spans(n_sims):
-    """(start, count) of each block of seasons in ``0 .. n_sims``."""
-    for start in range(0, n_sims, _BLOCK_SIMS):
-        yield start, min(_BLOCK_SIMS, n_sims - start)
-
-
 def _check_run(categories, workers):
     for category in categories:
         if category not in CATEGORIES:
@@ -349,7 +352,8 @@ def _map_blocks(run, n_sims, workers):
     The blocks run on up to ``workers`` threads; their results are
     yielded in the calling thread.
     """
-    spans = list(_block_spans(n_sims))
+    spans = [(start, min(_BLOCK_SIMS, n_sims - start))
+             for start in range(0, n_sims, _BLOCK_SIMS)]
     if workers == 1 or len(spans) == 1:
         for span in spans:
             yield run(*span)
@@ -400,16 +404,14 @@ def _replay(params, category, config, sim_index):
     return int(totals[0])
 
 
-def summarize(category, config, params=None, workers=1):
+def summarize(category, config):
     """Simulate a category and reduce it to a ``SimulationSummary``.
 
     The mean is the arithmetic mean of the season totals; the interval
     endpoints are the empirical 2.5th and 97.5th percentiles, reported
     as attained sample values (hence integers).
     """
-    if params is None:
-        params = make_params(config.scenario)
-    return _summaries((category,), config, params, workers)[category]
+    return _summaries((category,), config, make_params(config.scenario), 1)[category]
 
 
 def summarize_all(config, workers=1):
@@ -492,7 +494,7 @@ def sample_positions(params, driver_class, config, race=0):
     """
     plan = _rank_plan(params, (f"{driver_class}_driver",))
     (index,) = _sample_race(lambda uniforms: _race_step(plan, uniforms), config, race, 1)
-    return np.clip(index, 1, N_POSITIONS).astype(np.int64)
+    return round_to_position(index)
 
 
 def sample_pair_ranks(params, driver_class, config, race=0):
@@ -513,17 +515,13 @@ def _sample_race(step, config, race, cars):
     """``step``'s rows for one race's uniforms, joined over every block."""
     if not 0 <= race < config.races:
         raise ValueError(f"race index must lie in [0, {config.races})")
-    return np.concatenate([
-        step(_race_uniforms(config, race, start, np.empty((cars, count))))
-        for start, count in _block_spans(config.n_sims)
-    ], axis=1)
+    return np.concatenate(list(_map_blocks(
+        lambda start, count: step(_race_uniforms(config, race, start, np.empty((cars, count)))),
+        config.n_sims, 1)), axis=1)
 
 
 def _cache_key(config):
-    return (
-        f"seed={config.master_seed},sims={config.n_sims},scenario={config.scenario},"
-        f"full={config.races_full},sprint={config.races_sprint}"
-    )
+    return ",".join(f"{field.name}={getattr(config, field.name)}" for field in fields(config))
 
 
 def _read_cache(path):

@@ -108,11 +108,7 @@ def baseline_run():
 @pytest.fixture(scope="module")
 def dominant_run():
     config = SeasonConfig(scenario="dominant")
-    params = make_params("dominant")
-    return {
-        category: summarize(category, config, params=params, workers=4)
-        for category in ("elite_driver", "elite_team")
-    }
+    return {category: summarize(category, config) for category in ("elite_driver", "elite_team")}
 
 
 def test_criterion_1_calibration_exactness():

@@ -9,12 +9,16 @@ import codecs
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from f1bench import cli
 from f1bench.cli import build_parser, main
 from f1bench.simulate import SeasonConfig, SimulationSummary, store_summaries, summarize_all
 
@@ -202,25 +206,51 @@ def test_manifest_reports_run(capsys):
     assert "timestamp" in manifest and "version" in manifest
 
 
-def test_manifest_round_trip(tmp_path, capsys):
-    path = str(tmp_path / "manifest.json")
-    argv = ["simulate", "--seed", "31415", "--manifest", path] + SMALL
-    _, first, err = run_cli(capsys, argv)
-    assert err == ""
-    with open(path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
+# How a recorded config key goes back on the command line.  A key that
+# is missing here fails the round trip, so no recorded input goes unreplayed.
+REPLAY_FLAGS = {
+    "scenario": lambda value: ["--scenario", value],
+    "format": lambda value: ["--format", value],
+    "master_seed": lambda value: ["--seed", str(value)],
+    "n_sims": lambda value: ["--sims", str(value)],
+    "races_full": lambda value: ["--races-full", str(value)],
+    "races_sprint": lambda value: ["--races-sprint", str(value)],
+    "workers": lambda value: ["--workers", str(value)],
+    "rookie": lambda value: ["--rookie"] if value else [],
+    "results": lambda value: [] if value is None else [value],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--scenario", "dominant_manufacturer"],
+    ["probs", "--format", "md"],
+    ["simulate", "--seed", "31415"] + SMALL,
+    ["simulate", "--rookie"] + SMALL,
+    ["benchmark"] + SMALL,
+    ["benchmark", "RESULTS", "--format", "csv"] + SMALL,
+], ids=["calibrate", "probs", "simulate", "simulate-rookie", "benchmark",
+        "benchmark-file"])
+def test_manifest_round_trip(argv, tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text("name,team,class,points,entity\n"
+                       "Prodigy,Upstart,nonelite,88,driver\n", encoding="utf-8")
+    argv = [str(results) if arg == "RESULTS" else arg for arg in argv]
+
+    def run(argv, name):
+        path = tmp_path / name
+        code, out, err = run_cli(capsys, argv + ["--manifest", str(path)])
+        assert (code, err) == (0, "")
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["timestamp"]
+        return out, manifest
+
+    out, manifest = run(argv, "first.json")
     config = manifest["config"]
-    replay = [
-        "simulate",
-        "--seed", str(config["master_seed"]),
-        "--sims", str(config["n_sims"]),
-        "--races-full", str(config["races_full"]),
-        "--races-sprint", str(config["races_sprint"]),
-        "--scenario", config["scenario"],
-        "--format", config["format"],
-    ]
-    _, second, _ = run_cli(capsys, replay)
-    assert second == first
+    assert set(config) <= set(REPLAY_FLAGS), set(config) - set(REPLAY_FLAGS)
+    replay = [manifest["subcommand"]]
+    for key, value in config.items():
+        replay += REPLAY_FLAGS[key](value)
+    assert run(replay, "replay.json") == (out, manifest)
 
 
 def test_manifest_records_rookie_and_results_file(tmp_path, capsys):
@@ -280,12 +310,43 @@ def test_readme_lists_each_subcommands_flags():
     assert listed == declared
 
 
-def test_invalid_sims_rejected(capsys):
+def test_invalid_sims_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["simulate", "--sims", "0"])
     assert code == 1
     assert "n_sims" in err
     code, _, _ = run_cli(capsys, ["simulate", "--races-full", "-1", "--sims", "100"])
     assert code == 1
+    # a season size just above a cap fails before anything is simulated
+    manifest = tmp_path / "m.json"
+    for flags in (["--races-full", "9995", "--races-sprint", "6"], ["--sims", "1000000001"]):
+        code, out, err = run_cli(capsys, ["simulate", "--manifest", str(manifest)] + flags)
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert re.fullmatch(r"f1bench: error: (races_full \+ races_sprint|n_sims) "
+                            r"must be at most \d+, got \d+", line)
+    assert not manifest.exists()
+
+
+def test_calibration_selfcheck_exits_2(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "calibration_residuals", lambda params: {"sigma_elite": 1e-6})
+    manifest = tmp_path / "m.json"
+    code, _, err = run_cli(capsys, ["calibrate", "--manifest", str(manifest)])
+    assert code == 2
+    assert err.splitlines() == ["f1bench: calibration residuals exceed 1e-9"]
+    assert not manifest.exists()
+
+
+def test_process_entry_point(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    runs = [subprocess.run([sys.executable, "-m", "f1bench.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=120)
+            for argv in (["calibrate"], ["simulate", "--sims", "0"])]
+    assert [run.returncode for run in runs] == [0, 1]
+    _, expected, _ = run_cli(capsys, ["calibrate"])
+    assert runs[0].stdout == expected
+    assert runs[1].stdout == ""
 
 
 def test_invalid_workers_rejected(capsys):

@@ -5,6 +5,7 @@ every assertion is deterministic; the tolerances leave several
 standard errors of headroom at that sample size.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,14 +21,14 @@ from f1bench.normal import (
 )
 from f1bench.probabilities import FULL_RACE_POINTS, SPRINT_POINTS, position_distribution
 from f1bench.simulate import (
-    CATEGORIES, CHUNK_SIMS, DEFAULT_SEED, SCENARIO_SEASONS,
+    CATEGORIES, CHUNK_SIMS, DEFAULT_SEED, MAX_RACES, MAX_SIMS, SCENARIO_SEASONS,
     SeasonConfig, SimulationSummary, load_cached_summaries,
     rookie_benchmark, round_to_position, sample_pair_ranks,
     sample_positions, season_totals, simulate_driver_season,
     simulate_team_season, store_summaries, summarize, summarize_all,
 )
 from f1bench.simulate import (
-    _BLOCK_SIMS, _EDGE_MARGIN, _race_step, _rank_plan, _ranks, _summary,
+    _BLOCK_SIMS, _EDGE_MARGIN, _race_step, _rank_plan, _ranks, _season_top, _summary,
     _uniform_chunk,
 )
 
@@ -103,6 +104,14 @@ def test_season_config_validation():
         SeasonConfig(master_seed=1.5)
     with pytest.raises(ValueError):
         SeasonConfig(scenario="bogus")
+    # the caps hold a team histogram to 4 MB and the block list to a few
+    # MB; a config just above either fails before anything is allocated
+    at_cap = SeasonConfig(races_full=MAX_RACES, races_sprint=0, n_sims=MAX_SIMS)
+    assert 8 * (2 * _season_top(at_cap) + 1) <= 4_000_008
+    with pytest.raises(ValueError, match=r"races_full \+ races_sprint must be at most"):
+        SeasonConfig(races_full=MAX_RACES - 5, races_sprint=6)
+    with pytest.raises(ValueError, match="n_sims must be at most"):
+        SeasonConfig(n_sims=MAX_SIMS + 1)
 
 
 def test_season_config_canonicalizes_scenario():
@@ -179,8 +188,6 @@ def test_invalid_worker_count_rejected():
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             season_totals("elite_driver", config, workers=workers)
-        with pytest.raises(ValueError, match="workers"):
-            summarize("elite_driver", config, workers=workers)
         with pytest.raises(ValueError, match="workers"):
             summarize_all(config, workers=workers)
 
@@ -519,9 +526,8 @@ def test_summaries_equal_summaries_of_season_totals():
         }
         for workers in (1, 3):
             assert summarize_all(config, workers=workers) == expected, (scenario, workers)
-            for category in CATEGORIES:
-                got = summarize(category, config, params=params, workers=workers)
-                assert got == expected[category], (scenario, category, workers)
+        for category in CATEGORIES:
+            assert summarize(category, config) == expected[category], (scenario, category)
 
 
 def test_histogram_summary_equals_summary_of_expanded_totals():
@@ -635,13 +641,22 @@ def test_summary_cache_round_trip(tmp_path):
     assert len(payload) == 1
 
 
-def test_summary_cache_misses(tmp_path):
+def test_summary_cache_misses(tmp_path, capsys):
+    # a config that differs from the stored one in any single field is a
+    # clean miss, and the stored config itself a hit
     path = str(tmp_path / "summaries.json")
     config = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000)
     assert load_cached_summaries(path, config) is None
-    store_summaries(path, config, summarize_all(config))
-    other = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000, master_seed=7)
-    assert load_cached_summaries(path, other) is None
+    summaries = summarize_all(config)
+    store_summaries(path, config, summaries)
+    other_values = {"races_full": 3, "races_sprint": 2, "n_sims": 1_001, "master_seed": 7,
+                    "scenario": "dominant"}
+    assert {field.name for field in dataclasses.fields(SeasonConfig)} == set(other_values)
+    for name, value in other_values.items():
+        other = dataclasses.replace(config, **{name: value})
+        assert load_cached_summaries(path, other) is None, name
+    assert capsys.readouterr().err == ""
+    assert load_cached_summaries(path, dataclasses.replace(config)) == summaries
 
 
 def test_summary_cache_merges_configs(tmp_path):
