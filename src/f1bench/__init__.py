@@ -7,6 +7,9 @@ simulates seasons to obtain points benchmarks with empirical 95%
 intervals, and classifies actual season results against them.
 """
 
+# set before the submodule imports, which read it
+__version__ = "0.1.0"
+
 from .benchmark import (
     SeasonRecord, Verdict, classify, classify_season, ingest_results,
     load_bundled_results,
@@ -23,8 +26,6 @@ from .simulate import (
     SeasonConfig, SimulationSummary, rookie_benchmark,
     simulate_driver_season, simulate_team_season, summarize, summarize_all,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "std_normal_cdf", "std_normal_quantile",

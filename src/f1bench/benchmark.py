@@ -176,10 +176,6 @@ def verdict_rows(verdicts):
     ]
 
 
-def _points_text(points):
-    return f"{points:g}"
-
-
 def markdown_table(columns, rows):
     """Lines of a markdown table: a header, its rule and one line per row of cell texts."""
     return [
@@ -209,7 +205,7 @@ def markdown_report(verdicts):
             cells = [record.name]
             if entity == "driver":
                 cells.append(record.team)
-            cells.extend([_points_text(record.points), verdict.arrow])
+            cells.extend([f"{record.points:g}", verdict.arrow])
             table.append(cells)
         lines.extend(markdown_table(columns, table))
     return "\n".join(lines) + "\n"

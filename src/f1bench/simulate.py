@@ -42,18 +42,21 @@ lookup.  Each block's totals are reduced at once to a histogram per
 category.
 """
 
+import functools
+import hashlib
 import json
 import math
 import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .calibration import canonical_scenario, make_params
+from . import __version__
+from .calibration import SCENARIOS, canonical_scenario, make_params
 from .normal import _acklam, std_normal_quantile
 from .probabilities import FULL_RACE_POINTS, N_POSITIONS, SPRINT_POINTS
 
@@ -476,13 +479,8 @@ def rookie_benchmark(base):
     """
     if base.category != "elite_driver":
         raise ValueError("the rookie adjustment applies to the elite_driver benchmark only")
-    return SimulationSummary(
-        category=base.category,
-        mean_points=base.mean_points / 2.0,
-        ci_low=base.ci_low / 2.0,
-        ci_high=base.ci_high / 2.0,
-        n_sims=base.n_sims,
-    )
+    return replace(base, mean_points=base.mean_points / 2.0,
+                   ci_low=base.ci_low / 2.0, ci_high=base.ci_high / 2.0)
 
 
 def sample_positions(params, driver_class, config, race=0):
@@ -524,27 +522,44 @@ def _cache_key(config):
     return ",".join(f"{field.name}={getattr(config, field.name)}" for field in fields(config))
 
 
-def _read_cache(path):
-    """The cache file's JSON object; ``ValueError`` if it is not one."""
+@functools.cache
+def _model_fingerprint():
+    """Digest of the version, every scenario's params and the points tables.
+
+    Summaries depend on these beyond their configuration.  All are
+    constants of the installed package, so this runs once per process.
+    """
+    model = [__version__, [asdict(make_params(scenario)) for scenario in SCENARIOS],
+             FULL_RACE_POINTS, SPRINT_POINTS]
+    return hashlib.sha256(json.dumps(model).encode()).hexdigest()[:16]
+
+
+def _read_entries(path):
+    """The cache file's entries under the current model; ``ValueError`` if malformed."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise ValueError("top level is not a JSON object")
-    return payload
+    entries = payload.get(_model_fingerprint(), {})
+    if not isinstance(entries, dict):
+        raise ValueError("model block is not a JSON object")
+    return entries
 
 
 def load_cached_summaries(path, config):
     """Load summaries for a configuration from a cache file, or None.
 
-    A cache file that cannot be read, or whose entry for the
-    configuration does not hold exactly the ``CATEGORIES`` summaries of
-    ``config.n_sims`` seasons, is a miss: a warning naming the file goes
-    to stderr, and the caller recomputes and rewrites it.
+    Entries sit under ``_model_fingerprint``, so one written under
+    another model is a miss.  A cache file that cannot be read, or
+    whose entry for the configuration does not hold exactly the
+    ``CATEGORIES`` summaries of ``config.n_sims`` seasons, is a miss: a
+    warning naming the file goes to stderr, and the caller recomputes
+    and rewrites it.
     """
     if not path or not os.path.exists(path):
         return None
     try:
-        entry = _read_cache(path).get(_cache_key(config))
+        entry = _read_entries(path).get(_cache_key(config))
         if entry is None:
             return None
         if set(entry) != set(CATEGORIES):
@@ -562,24 +577,25 @@ def load_cached_summaries(path, config):
 
 
 def store_summaries(path, config, summaries):
-    """Store summaries for a configuration, merging with existing entries.
+    """Store summaries for a configuration beside the current model's entries.
 
-    An unreadable existing file is replaced.  The new contents go to a
-    temporary file in the same directory that is then renamed over
-    ``path``, so a reader sees either the old file or the new one.
+    Entries of other models are dropped.  An unreadable existing file
+    is replaced.  The new contents go to a temporary file in the same
+    directory that is then renamed over ``path``, so a reader sees
+    either the old file or the new one.
     """
     try:
-        payload = _read_cache(path)
+        entries = _read_entries(path)
     except (FileNotFoundError, ValueError):
-        payload = {}
-    payload[_cache_key(config)] = {
+        entries = {}
+    entries[_cache_key(config)] = {
         category: summary.as_dict() for category, summary in summaries.items()
     }
     fd, temp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                      prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+            json.dump({_model_fingerprint(): entries}, handle, indent=2, sort_keys=True)
             handle.write("\n")
         os.replace(temp_path, path)
     except BaseException:

@@ -416,17 +416,19 @@ def test_malformed_cache_entry_is_recomputed_and_rewritten(tmp_path, capsys):
     argv = ["simulate", "--cache", str(path)] + SMALL
     _, expected, _ = run_cli(capsys, ["simulate"] + SMALL)
     run_cli(capsys, argv)
-    (key, entry), = json.loads(path.read_text(encoding="utf-8")).items()
+    (fingerprint, entries), = json.loads(path.read_text(encoding="utf-8")).items()
+    (key, entry), = entries.items()
     del entry["elite_team"]
-    path.write_text(json.dumps({key: entry}), encoding="utf-8")
+    path.write_text(json.dumps({fingerprint: {key: entry}}), encoding="utf-8")
     code, out, err = run_cli(capsys, argv)
     assert code == 0
     assert out == expected
     assert "warning" in err and str(path) in err
     rewritten = json.loads(path.read_text(encoding="utf-8"))
-    assert list(rewritten) == [key]
-    assert sorted(rewritten[key]) == ["elite_driver", "elite_team",
-                                      "nonelite_driver", "nonelite_team"]
+    assert list(rewritten) == [fingerprint]
+    assert list(rewritten[fingerprint]) == [key]
+    assert sorted(rewritten[fingerprint][key]) == ["elite_driver", "elite_team",
+                                                   "nonelite_driver", "nonelite_team"]
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (0, expected)
     assert "warning" not in err

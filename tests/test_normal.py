@@ -42,7 +42,7 @@ QUANTILE_REFERENCE = (
     (0.999999, 4.753424308817087),
 )
 
-# (x, erfc(x)) pairs covering all three rational branches.
+# (x, erfc(x)) pairs from near zero out to the far tail.
 ERFC_REFERENCE = (
     (0.25, 0.72367360983176307),
     (0.5, 0.47950012218695346),
@@ -114,8 +114,8 @@ def test_quantile_antisymmetry():
 
 
 def test_cdf_symmetry():
-    # include the rational-branch boundaries |z| = 0.46875 / sqrt(0.5)
-    # and 4 / sqrt(0.5) alongside a uniform grid
+    # include the off-grid points |z| = 0.46875 / sqrt(0.5) and
+    # 4 / sqrt(0.5) alongside a uniform grid
     z = np.concatenate([
         np.linspace(-8.0, 8.0, 3203),
         [0.6629126073623883, -0.6629126073623883,
@@ -169,6 +169,16 @@ def test_array_in_array_out():
     out = std_normal_quantile(p)
     assert isinstance(out, np.ndarray)
     assert out.shape == p.shape
+
+
+def test_nd_input_keeps_its_shape():
+    # an n-d array is evaluated as its flattened entries, in place
+    z = np.array([[-8.0, -1.0, 0.0], [0.3, 2.5, 6.0]])
+    p = np.array([[2.0 ** -53, 0.01, 0.3], [0.5, 0.99, 0.999999]])
+    for function, x in ((std_normal_cdf, z), (std_normal_quantile, p)):
+        out = function(x)
+        assert out.shape == (2, 3)
+        assert out.tobytes() == function(x.ravel()).tobytes()
 
 
 def test_cdf_rejects_non_finite():

@@ -6,6 +6,7 @@ standard errors of headroom at that sample size.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -659,6 +660,51 @@ def test_summary_cache_misses(tmp_path, capsys):
     assert load_cached_summaries(path, dataclasses.replace(config)) == summaries
 
 
+def test_summary_cache_misses_under_another_model(tmp_path, monkeypatch, capsys):
+    # the same config is a clean miss once the version, the params or a
+    # points table changes
+    path = str(tmp_path / "summaries.json")
+    config = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000)
+    summaries = summarize_all(config)
+    store_summaries(path, config, summaries)
+    changes = (
+        ("__version__", "0.0.0"),
+        ("make_params", lambda scenario: dataclasses.replace(make_params(scenario),
+                                                             mu_nonelite=14.0)),
+        ("SPRINT_POINTS", SPRINT_POINTS[:-1] + (1,)),
+    )
+    fingerprint = simulate._model_fingerprint
+    for name, value in changes:
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, name, value)
+            # the fingerprint is memoized per process, so patch in a fresh memo
+            patch.setattr(simulate, "_model_fingerprint", functools.cache(fingerprint.__wrapped__))
+            assert load_cached_summaries(path, config) is None, name
+    assert capsys.readouterr().err == ""
+    assert load_cached_summaries(path, config) == summaries
+
+
+def test_summary_cache_store_drops_other_models(tmp_path):
+    # entries under another model fingerprint, or in the older flat
+    # format, are dropped by the next store
+    path = str(tmp_path / "summaries.json")
+    config = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000)
+    summaries = summarize_all(config)
+    entry = {category: summary.as_dict() for category, summary in summaries.items()}
+    old_key = ",".join(f"{name}={value}"
+                       for name, value in dataclasses.asdict(config).items())
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({old_key: entry, "0123456789abcdef": {old_key: entry}}, handle)
+    assert load_cached_summaries(path, config) is None
+    store_summaries(path, config, summaries)
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    (fingerprint, entries), = payload.items()
+    assert fingerprint != "0123456789abcdef"
+    assert entries == {old_key: entry}
+    assert load_cached_summaries(path, config) == summaries
+
+
 def test_summary_cache_merges_configs(tmp_path):
     path = str(tmp_path / "summaries.json")
     first = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000)
@@ -717,7 +763,8 @@ def test_malformed_summary_cache_entry_is_a_miss(tmp_path, capsys):
     summaries = summarize_all(config)
     store_summaries(path, config, summaries)
     with open(path, encoding="utf-8") as handle:
-        (key, entry), = json.load(handle).items()
+        (fingerprint, entries), = json.load(handle).items()
+    (key, entry), = entries.items()
     renamed = dict(entry, elite_team=dict(entry["elite_team"], category="elite_driver"))
     resized = {category: dict(fields, n_sims=7) for category, fields in entry.items()}
     inverted = dict(entry, elite_team=dict(entry["elite_team"], ci_low=700.0, ci_high=600.0))
@@ -732,9 +779,14 @@ def test_malformed_summary_cache_entry_is_a_miss(tmp_path, capsys):
         ["elite_driver", "elite_team", "nonelite_driver", "nonelite_team"],
     ):
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump({key: bad}, handle)
+            json.dump({fingerprint: {key: bad}}, handle)
         assert load_cached_summaries(path, config) is None
         assert path in capsys.readouterr().err
+    # so is a model block that is not an object
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({fingerprint: [key]}, handle)
+    assert load_cached_summaries(path, config) is None
+    assert path in capsys.readouterr().err
     # a well-formed entry still loads, without a warning
     store_summaries(path, config, summaries)
     assert load_cached_summaries(path, config) == summaries
