@@ -234,7 +234,7 @@ def cmd_benchmark(args, config, params):
             # utf-8-sig also reads the byte-order mark of spreadsheet exports
             with open(args.results, encoding="utf-8-sig", newline="") as handle:
                 records = ingest_results(handle)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             return _fail(f"cannot read results file: {exc}")
     summaries = _summaries_for(args, config)
     verdicts = classify_season(records, summaries)

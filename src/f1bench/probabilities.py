@@ -1,11 +1,11 @@
-"""Closed-form race outcome probabilities and expected points.
+"""The finishing-position law: its rounding rule, probabilities and expected points.
 
-The simulator rounds a normal rank draw to the nearest integer and
-clamps it to 1..20, so the exact distribution over finishing positions
-is a set of normal bin masses: position k covers [k - 0.5, k + 0.5),
-with position 1 absorbing the lower tail and position 20 the upper
-tail.  Everything here is analytic and doubles as the oracle the Monte
-Carlo engine is validated against.
+A position is a normal rank draw rounded half up and clamped to 1..20
+by ``round_to_position``, which the simulator imports from here.  The
+exact distribution is a set of normal bin masses: position k covers
+[k - 0.5, k + 0.5), with position 1 absorbing the lower tail and
+position 20 the upper tail.  It doubles as the oracle the Monte Carlo
+engine is validated against.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import numpy as np
 from .normal import std_normal_cdf
 
 __all__ = [
-    "FULL_RACE_POINTS", "SPRINT_POINTS", "AGGREGATE_KINDS",
+    "FULL_RACE_POINTS", "SPRINT_POINTS", "AGGREGATE_KINDS", "round_to_position",
     "position_distribution", "aggregate_probability", "expected_season_points",
 ]
 
@@ -30,6 +30,20 @@ SPRINT_POINTS = (8, 7, 6, 5, 4, 3, 2, 1, 0, 0,
 AGGREGATE_KINDS = {"podium": 3, "top8": 8, "top10": 10}
 
 
+def round_to_position(ranks):
+    """Round rank draws half up, clamp to 1..20."""
+    ranks = np.asarray(ranks, dtype=np.float64)
+    return np.clip(np.floor(ranks + 0.5), 1, N_POSITIONS).astype(np.int64)
+
+
+def _position_cdf(params, driver_class):
+    """P(position <= k) for k = 0..20: the normal CDF at each bin's upper edge."""
+    mu = params.class_mean(driver_class)
+    sigma = params.class_sigma(driver_class)
+    inner = std_normal_cdf((np.arange(1, N_POSITIONS) + 0.5 - mu) / sigma)
+    return np.concatenate(([0.0], inner, [1.0]))
+
+
 def position_distribution(params, driver_class):
     """Probability of each finishing position 1..20 as a length-20 array.
 
@@ -37,11 +51,7 @@ def position_distribution(params, driver_class):
     the rounded, clamped normal masses described in the module
     docstring and sum to 1 by construction.
     """
-    mu = params.class_mean(driver_class)
-    sigma = params.class_sigma(driver_class)
-    inner = std_normal_cdf((np.arange(1, N_POSITIONS) + 0.5 - mu) / sigma)
-    cdf_at_edges = np.concatenate(([0.0], inner, [1.0]))
-    return np.diff(cdf_at_edges)
+    return np.diff(_position_cdf(params, driver_class))
 
 
 def aggregate_probability(params, driver_class, kind):
@@ -53,10 +63,7 @@ def aggregate_probability(params, driver_class, kind):
     """
     if kind not in AGGREGATE_KINDS:
         raise ValueError(f"unknown aggregate {kind!r}; expected one of {tuple(AGGREGATE_KINDS)}")
-    boundary = AGGREGATE_KINDS[kind]
-    mu = params.class_mean(driver_class)
-    sigma = params.class_sigma(driver_class)
-    return std_normal_cdf((boundary + 0.5 - mu) / sigma)
+    return float(_position_cdf(params, driver_class)[AGGREGATE_KINDS[kind]])
 
 
 def expected_season_points(params, driver_class, config):

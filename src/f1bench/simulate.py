@@ -58,7 +58,7 @@ import numpy as np
 from . import __version__
 from .calibration import SCENARIOS, canonical_scenario, make_params
 from .normal import _acklam, std_normal_quantile
-from .probabilities import FULL_RACE_POINTS, N_POSITIONS, SPRINT_POINTS
+from .probabilities import FULL_RACE_POINTS, SPRINT_POINTS, round_to_position
 
 __all__ = [
     "CHUNK_SIMS", "DEFAULT_SEED", "MAX_RACES", "MAX_SIMS", "CATEGORIES", "SCENARIO_SEASONS",
@@ -102,7 +102,9 @@ SCENARIO_SEASONS = {"baseline": (24, 6), "dominant": (18, 6)}
 _MAX_SEED = 2 ** 64
 # Before the first race, ``_summaries`` allocates a team histogram of
 # 2 * (25 * races_full + 8 * races_sprint) + 1 int64s per team category;
-# at 10000 races that is at most 500001 of them, 4 MB.
+# at 10000 races that is at most 500001 of them, 4 MB.  A car's season
+# total is then at most 25 * 10000 = 250000, so the scoring tables and
+# the per-car totals are int32; team sums are taken in int64.
 MAX_RACES = 10_000
 # ``_map_blocks`` lists a season run's blocks up front; 10^9 seasons are
 # 61036 blocks of ``_BLOCK_SIMS``, a list of under 10 MB.
@@ -110,6 +112,12 @@ MAX_SIMS = 10 ** 9
 
 # The quantiles of the 95% interval, as np.percentile forms them.
 _BAND_QUANTILES = np.array([2.5, 97.5]) / 100
+
+# Points of a full race and a sprint indexed by ``floor(r + 0.5)``.
+# Index 0 scores position 1, and ``np.take``'s clip mode scores every
+# index below 0 as position 1 and every index above 20 as position 20.
+_FULL_TABLE, _SPRINT_TABLE = (np.array(points[:1] + points, dtype=np.int32)
+                              for points in (FULL_RACE_POINTS, SPRINT_POINTS))
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,10 @@ class SeasonConfig:
         for field, default in zip(("races_full", "races_sprint"), SCENARIO_SEASONS[self.scenario]):
             if getattr(self, field) is None:
                 object.__setattr__(self, field, default)
+        for field in ("races_full", "races_sprint", "n_sims", "master_seed"):
+            value = getattr(self, field)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         if self.races_full < 0 or self.races_sprint < 0:
             raise ValueError("race counts must be non-negative")
         if self.races > MAX_RACES:
@@ -136,7 +148,7 @@ class SeasonConfig:
             raise ValueError("n_sims must be at least 1")
         if self.n_sims > MAX_SIMS:
             raise ValueError(f"n_sims must be at most {MAX_SIMS}, got {self.n_sims}")
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < _MAX_SEED):
+        if not 0 <= self.master_seed < _MAX_SEED:
             raise ValueError("master_seed must be an unsigned 64-bit integer")
 
     @property
@@ -181,12 +193,6 @@ def _uniform_chunk(master_seed, race, driver, chunk_index, count, offset=0, out=
     gen.random(offset % 4)
     out = gen.random(count) if out is None else gen.random(out=out)
     return np.maximum(out, _UNIFORM_FLOOR, out=out)
-
-
-def round_to_position(ranks):
-    """Round rank draws half up, clamp to 1..20."""
-    ranks = np.asarray(ranks, dtype=np.float64)
-    return np.clip(np.floor(ranks + 0.5), 1, N_POSITIONS).astype(np.int64)
 
 
 def _category_kind(category):
@@ -299,21 +305,6 @@ def _season_top(config):
     return config.races_full * FULL_RACE_POINTS[0] + config.races_sprint * SPRINT_POINTS[0]
 
 
-def _total_dtype(config):
-    """The narrowest signed integer type that holds a team's highest season total."""
-    return np.min_scalar_type(-2 * _season_top(config) - 1)
-
-
-def _scoring_tables(dtype):
-    """Points of a full race and a sprint indexed by ``floor(r + 0.5)``.
-
-    Index 0 scores position 1, and ``np.take``'s clip mode scores every
-    index below 0 as position 1 and every index above 20 as position 20.
-    """
-    return [np.array(points[:1] + points, dtype=dtype)
-            for points in (FULL_RACE_POINTS, SPRINT_POINTS)]
-
-
 def _season_block(params, categories, config, start, count):
     """Season totals of seasons ``start .. start + count``, one array per category.
 
@@ -328,14 +319,13 @@ def _season_block(params, categories, config, start, count):
     plan = _rank_plan(params, categories)
     rows = len(plan.mu)
     cars = 2 if len(plan.b) else 1
-    full, sprint = _scoring_tables(_total_dtype(config))
     uniforms = np.empty((cars, count))
     work = np.empty((rows, count)), np.empty((rows, count), dtype=np.intp)
-    points = np.empty((rows, count), dtype=full.dtype)
-    totals = np.zeros((rows, count), dtype=full.dtype)
+    points = np.empty((rows, count), dtype=_FULL_TABLE.dtype)
+    totals = np.zeros((rows, count), dtype=_FULL_TABLE.dtype)
     for race in range(config.races):
         _race_uniforms(config, race, start, uniforms)
-        table = full if race < config.races_full else sprint
+        table = _FULL_TABLE if race < config.races_full else _SPRINT_TABLE
         np.take(table, _race_step(plan, uniforms, work), mode="clip", out=points)
         totals += points
     return [totals[list(read)].sum(axis=0, dtype=np.int64) for read in plan.reads]
@@ -414,15 +404,15 @@ def summarize(category, config):
     endpoints are the empirical 2.5th and 97.5th percentiles, reported
     as attained sample values (hence integers).
     """
-    return _summaries((category,), config, make_params(config.scenario), 1)[category]
+    return _summaries((category,), config, 1)[category]
 
 
 def summarize_all(config, workers=1):
     """Summaries for all four categories as a dict keyed by category."""
-    return _summaries(CATEGORIES, config, make_params(config.scenario), workers)
+    return _summaries(CATEGORIES, config, workers)
 
 
-def _summaries(categories, config, params, workers):
+def _summaries(categories, config, workers):
     """``summarize`` for several categories in one pass over the blocks.
 
     Each block's totals are reduced at once to one histogram per
@@ -434,6 +424,7 @@ def _summaries(categories, config, params, workers):
     if config.n_sims < 40:
         raise ValueError("n_sims must be at least 40 for meaningful 95% percentiles")
     _check_run(categories, workers)
+    params = make_params(config.scenario)
     top = _season_top(config)
     sizes = [cars * top + 1 for _, cars in map(_category_kind, categories)]
 

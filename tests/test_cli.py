@@ -7,6 +7,7 @@ is exercised.
 
 import codecs
 import csv
+import hashlib
 import io
 import json
 import os
@@ -77,6 +78,25 @@ def test_calibrate_dominant_scenario(capsys):
     code, out2, _ = run_cli(capsys, ["calibrate", "--scenario", "dominant_manufacturer"])
     assert code == 0
     assert out2 == out
+
+
+# sha256 of the stdout of each analytic command in json.  Like the
+# season-total digests in test_simulate.py, these hold on one host with
+# one numpy and one libm: the CDF goes through the platform's erfc, whose
+# last bit may differ elsewhere.
+ANALYTIC_DIGESTS = {
+    ("calibrate", "baseline"): "644b333d6d3f6c0c94edb05c995a3f6f46f03f3a6d80367aa46d25d428266db8",
+    ("calibrate", "dominant"): "0c37c9872c71af20e2ecaf14b7e85cc74c0c3fa8d6550e9c12080a5b9881ad1c",
+    ("probs", "baseline"): "cca64bc2b674b2970c23452048b42c8e50b0a470065397876fd85d3fe64bd67f",
+    ("probs", "dominant"): "a199fd27755edb644259f33f8bf90bd915999fe4da57df1dbcbc75e34d3dca1e",
+}
+
+
+def test_analytic_output_digests(capsys):
+    for (command, scenario), digest in ANALYTIC_DIGESTS.items():
+        code, out, _ = run_cli(capsys, [command, "--scenario", scenario, "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, scenario)
 
 
 def test_unknown_scenario_is_usage_error(capsys):
@@ -541,6 +561,14 @@ def test_benchmark_missing_file(capsys):
     code, _, err = run_cli(capsys, ["benchmark", "/no/such/file.csv"] + SMALL)
     assert code == 1
     assert "cannot read" in err
+
+
+def test_benchmark_file_that_is_not_utf8(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_bytes(b"name,team,class,points,entity\nA\xff,B,elite,10,driver\n")
+    code, out, err = run_cli(capsys, ["benchmark", str(results)] + SMALL)
+    assert (code, out) == (1, "")
+    assert err.startswith("f1bench: error: cannot read results file: 'utf-8' codec can't decode")
 
 
 def test_benchmark_malformed_file_names_line(tmp_path, capsys):

@@ -117,7 +117,7 @@ def test_aggregates_equal_bin_sums_and_closed_forms():
         for kind, boundary in AGGREGATE_KINDS.items():
             value = aggregate_probability(params, driver_class, kind)
             assert abs(value - probs[:boundary].sum()) <= 1e-9
-            assert abs(value - std_normal_cdf((boundary + 0.5 - mu) / sigma)) <= 1e-12
+            assert value == std_normal_cdf((boundary + 0.5 - mu) / sigma)
 
 
 def test_elite_tail_is_monotone():

@@ -29,8 +29,8 @@ from f1bench.simulate import (
     simulate_team_season, store_summaries, summarize, summarize_all,
 )
 from f1bench.simulate import (
-    _BLOCK_SIMS, _EDGE_MARGIN, _race_step, _rank_plan, _ranks, _season_top, _summary,
-    _uniform_chunk,
+    _BLOCK_SIMS, _EDGE_MARGIN, _FULL_TABLE, _race_step, _rank_plan, _ranks, _season_top,
+    _summary, _uniform_chunk,
 )
 
 PARAMS = make_params()
@@ -103,12 +103,19 @@ def test_season_config_validation():
         SeasonConfig(master_seed=2**64)
     with pytest.raises(ValueError):
         SeasonConfig(master_seed=1.5)
+    # counts and the seed are ints, not floats or bools, whatever their value
+    for field, value in (("n_sims", 2500.0), ("races_full", 1.5), ("races_sprint", True),
+                         ("master_seed", True), ("n_sims", np.float64(100))):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SeasonConfig(**{field: value})
     with pytest.raises(ValueError):
         SeasonConfig(scenario="bogus")
     # the caps hold a team histogram to 4 MB and the block list to a few
     # MB; a config just above either fails before anything is allocated
     at_cap = SeasonConfig(races_full=MAX_RACES, races_sprint=0, n_sims=MAX_SIMS)
     assert 8 * (2 * _season_top(at_cap) + 1) <= 4_000_008
+    # and a car's season total fits the scoring tables' dtype
+    assert _season_top(at_cap) <= np.iinfo(_FULL_TABLE.dtype).max
     with pytest.raises(ValueError, match=r"races_full \+ races_sprint must be at most"):
         SeasonConfig(races_full=MAX_RACES - 5, races_sprint=6)
     with pytest.raises(ValueError, match="n_sims must be at most"):
