@@ -57,9 +57,9 @@ def position_distribution(params, driver_class):
 def aggregate_probability(params, driver_class, kind):
     """Probability of a podium, top 8 or top 10 classification.
 
-    Evaluated in closed form as Phi((k + 0.5 - mu) / sigma) for the
-    aggregate's boundary rank k, which equals the sum of the first k
-    position bins exactly.
+    Evaluated in closed form as P(position <= k) for the aggregate's
+    boundary rank k, the CDF entry whose differences are the bins of
+    ``position_distribution``, so it equals the sum of the first k bins.
     """
     if kind not in AGGREGATE_KINDS:
         raise ValueError(f"unknown aggregate {kind!r}; expected one of {tuple(AGGREGATE_KINDS)}")
