@@ -14,10 +14,7 @@ from .benchmark import (
     SeasonRecord, Verdict, classify, classify_season, ingest_results,
     load_bundled_results,
 )
-from .calibration import (
-    ModelParams, calibrate_cov_elite, calibrate_cov_nonelite,
-    calibrate_sigma_elite, calibrate_sigma_nonelite, make_params,
-)
+from .calibration import ModelParams, calibrate, make_params
 from .normal import std_normal_cdf, std_normal_quantile
 from .probabilities import (
     aggregate_probability, expected_season_points, position_distribution,
@@ -29,9 +26,7 @@ from .simulate import (
 
 __all__ = [
     "std_normal_cdf", "std_normal_quantile",
-    "ModelParams", "make_params",
-    "calibrate_sigma_elite", "calibrate_sigma_nonelite",
-    "calibrate_cov_elite", "calibrate_cov_nonelite",
+    "ModelParams", "make_params", "calibrate",
     "position_distribution", "aggregate_probability", "expected_season_points",
     "SeasonConfig", "SimulationSummary", "simulate_driver_season",
     "simulate_team_season", "summarize", "summarize_all", "rookie_benchmark",

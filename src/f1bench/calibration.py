@@ -32,10 +32,8 @@ from .normal import std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "MU_ELITE", "MU_NONELITE", "MU_ELITE_DOMINANT", "Z_TABLE_LIMIT",
-    "DRIVER_CLASSES", "SCENARIOS", "SCENARIO_ALIASES", "ModelParams", "canonical_scenario",
-    "calibrate_sigma_elite", "calibrate_sigma_nonelite",
-    "calibrate_cov_elite", "calibrate_cov_nonelite", "make_params",
-    "calibration_residuals",
+    "DRIVER_CLASSES", "SCENARIOS", "SCENARIO_SEASONS", "SCENARIO_ALIASES", "ModelParams",
+    "canonical_scenario", "calibrate", "make_params", "calibration_residuals",
 ]
 
 MU_ELITE = 4.5
@@ -43,11 +41,21 @@ MU_NONELITE = 14.5
 # Revised elite mean when a single dominant manufacturer locks out the
 # front row and the remaining elite seats span ranks 3..8.
 MU_ELITE_DOMINANT = 5.5
+# Season composition (full, sprint) each scenario's benchmarks are
+# defined over.  The baseline season runs the full modern calendar of
+# 24 grands prix plus 6 sprints; the dominant-manufacturer benchmark
+# is defined over a season of 24 race weekends where the 6 sprint
+# weekends displace full rounds, giving 18 full races plus 6 sprints.
+SCENARIO_SEASONS = {"baseline": (24, 6), "dominant": (18, 6)}
 # Edge of a four-decimal standard normal table: Phi(-4.9) prints as 0.
 Z_TABLE_LIMIT = 4.9
+# Per class: the seats n and rank gap g of the spread's boundary
+# n * Phi(-g / sigma) = 1, and the gap between the pair sum's mean and
+# its boundary, which sits Z_TABLE_LIMIT pair-sum deviations away.
+_BOUNDARIES = {"elite": (8, 3.0, 6.0), "nonelite": (12, 5.0, 10.0)}
 
-DRIVER_CLASSES = ("elite", "nonelite")
-SCENARIOS = ("baseline", "dominant")
+DRIVER_CLASSES = tuple(_BOUNDARIES)
+SCENARIOS = tuple(SCENARIO_SEASONS)
 SCENARIO_ALIASES = {"dominant_manufacturer": "dominant"}
 
 
@@ -102,36 +110,18 @@ def _check_class(driver_class):
         raise ValueError(f"unknown driver class {driver_class!r}; expected one of {DRIVER_CLASSES}")
 
 
-def calibrate_sigma_elite():
-    """Spread solving 8 * Phi(-3 / sigma) = 1, about 2.607903."""
-    return -3.0 / std_normal_quantile(1.0 / 8.0)
+def calibrate(driver_class):
+    """(sigma, cov) of a class, solved from its row of ``_BOUNDARIES``.
 
-
-def calibrate_sigma_nonelite():
-    """Spread solving 12 * Phi(-5 / sigma) = 1, about 3.615344."""
-    return -5.0 / std_normal_quantile(1.0 / 12.0)
-
-
-def calibrate_cov_elite(sigma_elite):
-    """Elite pair covariance from the pair-sum boundary at rank 3.
-
-    The elite pair sum is N(9, 2 * sigma^2 + 2 * cov); requiring its
-    z-score at 3 to reach -4.9 gives 2 * sigma^2 + 2 * cov = (6/4.9)^2.
+    sigma solves seats * Phi(-gap / sigma) = 1; cov puts the pair sum's
+    boundary Z_TABLE_LIMIT pair-sum deviations from its mean, so that
+    2 * sigma^2 + 2 * cov = (pair_gap / Z_TABLE_LIMIT)^2.  Elite gives
+    about (2.607903, -6.051472), non-elite (3.615344, -10.98825).
     """
-    if not sigma_elite > 0.0:
-        raise ValueError("sigma_elite must be positive")
-    return 36.0 / (2.0 * Z_TABLE_LIMIT**2) - sigma_elite**2
-
-
-def calibrate_cov_nonelite(sigma_nonelite):
-    """Non-elite pair covariance from the pair-sum boundary at rank 39.
-
-    The non-elite pair sum is N(29, 2 * sigma^2 + 2 * cov); its z-score
-    at 39 reaches +4.9 when 2 * sigma^2 + 2 * cov = (10/4.9)^2.
-    """
-    if not sigma_nonelite > 0.0:
-        raise ValueError("sigma_nonelite must be positive")
-    return 100.0 / (2.0 * Z_TABLE_LIMIT**2) - sigma_nonelite**2
+    _check_class(driver_class)
+    seats, gap, pair_gap = _BOUNDARIES[driver_class]
+    sigma = -gap / std_normal_quantile(1.0 / seats)
+    return sigma, pair_gap**2 / (2.0 * Z_TABLE_LIMIT**2) - sigma**2
 
 
 def make_params(scenario="baseline"):
@@ -141,15 +131,14 @@ def make_params(scenario="baseline"):
     5.5; spreads and covariances are left as calibrated.
     """
     kind = canonical_scenario(scenario)
-    sigma_elite = calibrate_sigma_elite()
-    sigma_nonelite = calibrate_sigma_nonelite()
+    (sigma_elite, cov_elite), (sigma_nonelite, cov_nonelite) = map(calibrate, DRIVER_CLASSES)
     return ModelParams(
         mu_elite=MU_ELITE_DOMINANT if kind == "dominant" else MU_ELITE,
         mu_nonelite=MU_NONELITE,
         sigma_elite=sigma_elite,
         sigma_nonelite=sigma_nonelite,
-        cov_elite_pair=calibrate_cov_elite(sigma_elite),
-        cov_nonelite_pair=calibrate_cov_nonelite(sigma_nonelite),
+        cov_elite_pair=cov_elite,
+        cov_nonelite_pair=cov_nonelite,
     )
 
 
@@ -159,11 +148,10 @@ def calibration_residuals(params):
     Returns a dict mapping a short label to the signed residual; all
     four should vanish to within 1e-9 for calibrated parameters.
     """
-    pair_std_elite = (2.0 * params.sigma_elite**2 + 2.0 * params.cov_elite_pair) ** 0.5
-    pair_std_nonelite = (2.0 * params.sigma_nonelite**2 + 2.0 * params.cov_nonelite_pair) ** 0.5
-    return {
-        "sigma_elite": 8.0 * std_normal_cdf(-3.0 / params.sigma_elite) - 1.0,
-        "sigma_nonelite": 12.0 * std_normal_cdf(-5.0 / params.sigma_nonelite) - 1.0,
-        "cov_elite_pair": pair_std_elite - 6.0 / Z_TABLE_LIMIT,
-        "cov_nonelite_pair": pair_std_nonelite - 10.0 / Z_TABLE_LIMIT,
-    }
+    residuals = {}
+    for driver_class, (seats, gap, pair_gap) in _BOUNDARIES.items():
+        sigma = params.class_sigma(driver_class)
+        pair_std = (2.0 * sigma**2 + 2.0 * params.class_cov(driver_class)) ** 0.5
+        residuals[f"sigma_{driver_class}"] = seats * std_normal_cdf(-gap / sigma) - 1.0
+        residuals[f"cov_{driver_class}_pair"] = pair_std - pair_gap / Z_TABLE_LIMIT
+    return residuals

@@ -12,7 +12,8 @@ with ``--manifest``) once the subcommand has finished, recording the
 inputs the run read, the parameter values and the tool version;
 re-running with the manifest's configuration reproduces the output
 byte for byte.  A run that fails emits none, and a manifest path that
-cannot be written fails the run before the subcommand starts.  Exit
+cannot be written, or that names the run's results file or summary
+cache, fails the run before the subcommand starts.  Exit
 codes: 0 on success, 1 for validation errors (bad flags, malformed
 input files), 2 when the calibration residuals exceed 1e-9.
 """
@@ -129,12 +130,24 @@ def _season_config(args):
     )
 
 
-def _check_manifest_path(path):
-    """Fail before the run where writing the manifest after it must fail."""
+def _same_file(path, other):
+    """Whether two paths name one file: by device and inode where both exist."""
+    if os.path.exists(path) and os.path.exists(other):
+        return os.path.samefile(path, other)
+    return os.path.realpath(path) == os.path.realpath(other)
+
+
+def _check_manifest_path(args):
+    """Fail before the run where writing the manifest after it must fail or clobber an input."""
+    path = args.manifest
     if os.path.isdir(path):
         raise ValueError(f"cannot write manifest {path}: is a directory")
     if not os.path.isdir(os.path.dirname(path) or os.curdir):
         raise ValueError(f"cannot write manifest {path}: no such directory")
+    for label, other in (("results file", getattr(args, "results", None)),
+                         ("summary cache", getattr(args, "cache", None))):
+        if other and _same_file(path, other):
+            raise ValueError(f"cannot write manifest {path}: it is the {label}")
 
 
 def _emit_manifest(args, recorded, params):
@@ -259,7 +272,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.manifest:
-            _check_manifest_path(args.manifest)
+            _check_manifest_path(args)
         if args.command in _SEASON_COMMANDS:
             config = _season_config(args)
             extra = _SEASON_COMMANDS[args.command]

@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .calibration import SCENARIOS, canonical_scenario, make_params
+from .calibration import SCENARIO_SEASONS, SCENARIOS, canonical_scenario, make_params
 from .normal import _acklam, std_normal_quantile
 from .probabilities import FULL_RACE_POINTS, SPRINT_POINTS, round_to_position
 
@@ -91,13 +91,6 @@ _UNIFORM_FLOOR = 2.0 ** -53
 _EDGE_MARGIN = 1e-6
 
 CATEGORIES = ("elite_driver", "elite_team", "nonelite_driver", "nonelite_team")
-
-# Season composition (full, sprint) each scenario's benchmarks are
-# defined over.  The baseline season runs the full modern calendar of
-# 24 grands prix plus 6 sprints; the dominant-manufacturer benchmark
-# is defined over a season of 24 race weekends where the 6 sprint
-# weekends displace full rounds, giving 18 full races plus 6 sprints.
-SCENARIO_SEASONS = {"baseline": (24, 6), "dominant": (18, 6)}
 
 _MAX_SEED = 2 ** 64
 # Before the first race, ``_summaries`` allocates a team histogram of
@@ -331,12 +324,22 @@ def _season_block(params, categories, config, start, count):
     return [totals[list(read)].sum(axis=0, dtype=np.int64) for read in plan.reads]
 
 
+def _is_int(value):
+    """Whether ``value`` is an integer, a numpy one included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_index(name, value, stop):
+    if not (_is_int(value) and 0 <= value < stop):
+        raise ValueError(f"{name} must be an integer in [0, {stop}), got {value!r}")
+
+
 def _check_run(categories, workers):
     for category in categories:
         if category not in CATEGORIES:
             raise ValueError(f"unknown category {category!r}; expected one of {CATEGORIES}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if not (_is_int(workers) and workers >= 1):
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
 
 
 def _map_blocks(run, n_sims, workers):
@@ -391,8 +394,7 @@ def simulate_team_season(params, driver_class, config, sim_index):
 
 
 def _replay(params, category, config, sim_index):
-    if not (isinstance(sim_index, (int, np.integer)) and 0 <= sim_index < config.n_sims):
-        raise ValueError(f"sim_index must lie in [0, {config.n_sims})")
+    _check_index("sim_index", sim_index, config.n_sims)
     (totals,) = _season_block(params, (category,), config, int(sim_index), 1)
     return int(totals[0])
 
@@ -502,8 +504,7 @@ def sample_pair_ranks(params, driver_class, config, race=0):
 
 def _sample_race(step, config, race, cars):
     """``step``'s rows for one race's uniforms, joined over every block."""
-    if not 0 <= race < config.races:
-        raise ValueError(f"race index must lie in [0, {config.races})")
+    _check_index("race", race, config.races)
     return np.concatenate(list(_map_blocks(
         lambda start, count: step(_race_uniforms(config, race, start, np.empty((cars, count)))),
         config.n_sims, 1)), axis=1)

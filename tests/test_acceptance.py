@@ -13,10 +13,7 @@ import numpy as np
 import pytest
 
 from f1bench.benchmark import classify_season, load_bundled_results
-from f1bench.calibration import (
-    calibrate_cov_elite, calibrate_cov_nonelite, calibrate_sigma_elite,
-    calibrate_sigma_nonelite, calibration_residuals, make_params,
-)
+from f1bench.calibration import calibrate, calibration_residuals, make_params
 from f1bench.normal import std_normal_cdf, std_normal_quantile
 from f1bench.probabilities import position_distribution
 from f1bench.simulate import (
@@ -113,10 +110,8 @@ def dominant_run():
 
 def test_criterion_1_calibration_exactness():
     problems = []
-    sigma_elite = calibrate_sigma_elite()
-    sigma_nonelite = calibrate_sigma_nonelite()
-    cov_elite = calibrate_cov_elite(sigma_elite)
-    cov_nonelite = calibrate_cov_nonelite(sigma_nonelite)
+    sigma_elite, cov_elite = calibrate("elite")
+    sigma_nonelite, cov_nonelite = calibrate("nonelite")
     for label, value, expected in (
         ("sigma_elite", sigma_elite, 2.607903),
         ("sigma_nonelite", sigma_nonelite, 3.615344),

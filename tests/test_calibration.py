@@ -4,9 +4,7 @@ import pytest
 
 from f1bench.calibration import (
     MU_ELITE, MU_ELITE_DOMINANT, MU_NONELITE, Z_TABLE_LIMIT,
-    ModelParams, calibrate_cov_elite, calibrate_cov_nonelite,
-    calibrate_sigma_elite, calibrate_sigma_nonelite,
-    calibration_residuals, canonical_scenario, make_params,
+    ModelParams, calibrate, calibration_residuals, canonical_scenario, make_params,
 )
 from f1bench.normal import std_normal_cdf
 from f1bench.simulate import SeasonConfig
@@ -24,24 +22,30 @@ RHO_NONELITE = -0.8406769882886418
 
 
 def test_calibrated_constants():
-    assert abs(calibrate_sigma_elite() - 2.607903) <= 1e-5
-    assert abs(calibrate_sigma_nonelite() - 3.615344) <= 1e-5
-    assert abs(calibrate_cov_elite(calibrate_sigma_elite()) - (-6.051472)) <= 1e-5
-    assert abs(calibrate_cov_nonelite(calibrate_sigma_nonelite()) - (-10.98825)) <= 1e-5
+    sigma_elite, cov_elite = calibrate("elite")
+    sigma_nonelite, cov_nonelite = calibrate("nonelite")
+    assert abs(sigma_elite - 2.607903) <= 1e-5
+    assert abs(sigma_nonelite - 3.615344) <= 1e-5
+    assert abs(cov_elite - (-6.051472)) <= 1e-5
+    assert abs(cov_nonelite - (-10.98825)) <= 1e-5
 
 
 def test_calibrated_constants_full_precision():
-    assert abs(calibrate_sigma_elite() - SIGMA_ELITE) <= 1e-12
-    assert abs(calibrate_sigma_nonelite() - SIGMA_NONELITE) <= 1e-12
-    assert abs(calibrate_cov_elite(SIGMA_ELITE) - COV_ELITE) <= 1e-12
-    assert abs(calibrate_cov_nonelite(SIGMA_NONELITE) - COV_NONELITE) <= 1e-12
+    sigma_elite, cov_elite = calibrate("elite")
+    sigma_nonelite, cov_nonelite = calibrate("nonelite")
+    assert abs(sigma_elite - SIGMA_ELITE) <= 1e-12
+    assert abs(sigma_nonelite - SIGMA_NONELITE) <= 1e-12
+    assert abs(cov_elite - COV_ELITE) <= 1e-12
+    assert abs(cov_nonelite - COV_NONELITE) <= 1e-12
 
 
 def test_fixed_point_equations():
     # one of eight elite drivers wins; one of twelve non-elite drivers
     # finishes ninth or better
-    assert abs(8.0 * std_normal_cdf(-3.0 / calibrate_sigma_elite()) - 1.0) <= 1e-9
-    assert abs(12.0 * std_normal_cdf(-5.0 / calibrate_sigma_nonelite()) - 1.0) <= 1e-9
+    sigma_elite, _ = calibrate("elite")
+    sigma_nonelite, _ = calibrate("nonelite")
+    assert abs(8.0 * std_normal_cdf(-3.0 / sigma_elite) - 1.0) <= 1e-9
+    assert abs(12.0 * std_normal_cdf(-5.0 / sigma_nonelite) - 1.0) <= 1e-9
 
 
 def test_residuals_vanish():
@@ -131,6 +135,8 @@ def test_class_accessors():
     assert params.class_cov("nonelite") == params.cov_nonelite_pair
     with pytest.raises(ValueError):
         params.class_mean("intermediate")
+    with pytest.raises(ValueError):
+        calibrate("intermediate")
 
 
 def test_invalid_params_rejected():

@@ -404,6 +404,43 @@ def test_unwritable_manifest_path_is_an_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_manifest_may_not_name_a_run_input(tmp_path, capsys):
+    # the results file, a hard link to it, an existing cache and a cache
+    # the run would create: each is refused before the run and left as it was
+    results = tmp_path / "r.csv"
+    results.write_text("name,team,class,points,entity\n"
+                       "Prodigy,Upstart,nonelite,88,driver\n", encoding="utf-8")
+    os.link(results, tmp_path / "link.csv")
+    old_cache = tmp_path / "old.json"
+    old_cache.write_text("{}\n", encoding="utf-8")
+    new_cache = tmp_path / "new.json"
+    for argv, manifest, label in (
+        (["benchmark", str(results)], results, "results file"),
+        (["benchmark", str(results)], tmp_path / "link.csv", "results file"),
+        (["simulate", "--cache", str(old_cache)], old_cache, "summary cache"),
+        (["benchmark", "--cache", str(new_cache)], tmp_path / "." / "new.json", "summary cache"),
+    ):
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        code, out, err = run_cli(capsys, argv + SMALL + ["--manifest", str(manifest)])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"f1bench: error: cannot write manifest {manifest}: it is the {label}"]
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_manifest_write_failure_after_the_run(capsys):
+    # /dev/full passes the pre-check, then the write fails with ENOSPC:
+    # the table is out, the error follows it and the exit code is 1
+    _, table, _ = run_cli(capsys, ["calibrate"])
+    code, out, err = run_cli(capsys, ["calibrate", "--manifest", "/dev/full"])
+    assert code == 1
+    assert out == table
+    (line,) = err.splitlines()
+    assert line.startswith("f1bench: error: cannot write manifest /dev/full: [Errno 28] ")
+
+
 def test_simulate_cache_round_trip(tmp_path, capsys):
     path = str(tmp_path / "cache.json")
     argv = ["simulate", "--cache", path] + SMALL

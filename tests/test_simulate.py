@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from f1bench import simulate
+from f1bench import calibration, simulate
 from f1bench.calibration import make_params
 from f1bench.normal import (
     _ACK_A, _ACK_B, _ACK_C, _ACK_D, _P_LOW, _acklam, std_normal_cdf, std_normal_quantile,
@@ -127,6 +127,9 @@ def test_season_config_canonicalizes_scenario():
     assert config.scenario == "dominant"
     assert SCENARIO_SEASONS["dominant"] == (18, 6)
     assert SCENARIO_SEASONS["baseline"] == (24, 6)
+    # one table: the scenario list is its keys, and simulate re-exports it
+    assert SCENARIO_SEASONS is calibration.SCENARIO_SEASONS
+    assert calibration.SCENARIOS == tuple(SCENARIO_SEASONS)
 
 
 def test_season_config_takes_the_scenario_calendar():
@@ -193,11 +196,14 @@ def test_worker_count_does_not_change_totals():
 
 def test_invalid_worker_count_rejected():
     config = SeasonConfig(races_full=1, races_sprint=0, n_sims=100)
-    for workers in (0, -3):
+    for workers in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match="workers"):
             season_totals("elite_driver", config, workers=workers)
         with pytest.raises(ValueError, match="workers"):
             summarize_all(config, workers=workers)
+    # a numpy integer is a worker count
+    assert (season_totals("elite_driver", config, workers=np.int64(2))
+            == season_totals("elite_driver", config)).all()
 
 
 def test_pool_is_no_larger_than_the_block_count(monkeypatch):
@@ -412,11 +418,14 @@ def test_single_team_replay_matches_batch():
 
 def test_sim_index_bounds():
     config = SeasonConfig(races_full=1, races_sprint=0, n_sims=100)
-    for bad in (-1, 100, 2.5):
-        with pytest.raises(ValueError):
+    # a bool is not an index: True would replay season 1
+    for bad in (-1, 100, 2.5, True, False):
+        with pytest.raises(ValueError, match="sim_index"):
             simulate_driver_season(PARAMS, "elite", config, bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sim_index"):
             simulate_team_season(PARAMS, "elite", config, bad)
+    assert (simulate_driver_season(PARAMS, "elite", config, np.int64(1))
+            == simulate_driver_season(PARAMS, "elite", config, 1))
 
 
 def test_race_index_bounds():
@@ -425,6 +434,14 @@ def test_race_index_bounds():
         sample_positions(PARAMS, "elite", config, race=3)
     with pytest.raises(ValueError):
         sample_pair_ranks(PARAMS, "elite", config, race=-1)
+    # True would sample race 1, and 1.0 reached numpy's seeding as a TypeError
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match="race"):
+            sample_positions(PARAMS, "elite", config, race=bad)
+        with pytest.raises(ValueError, match="race"):
+            sample_pair_ranks(PARAMS, "elite", config, race=bad)
+    assert (sample_positions(PARAMS, "elite", config, race=np.int64(1))
+            == sample_positions(PARAMS, "elite", config, race=1)).all()
 
 
 def test_unknown_category():
