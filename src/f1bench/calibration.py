@@ -83,26 +83,19 @@ class ModelParams:
             raise ValueError("standard deviations must be positive")
         if not self.sigma_nonelite > self.sigma_elite:
             raise ValueError("non-elite ranks must be more variable than elite ranks")
-        for cov, sigma, label in (
-            (self.cov_elite_pair, self.sigma_elite, "elite"),
-            (self.cov_nonelite_pair, self.sigma_nonelite, "nonelite"),
-        ):
+        for driver_class in DRIVER_CLASSES:
+            _, sigma, cov = self.of(driver_class)
             if not cov < 0.0:
-                raise ValueError(f"{label} pair covariance must be negative")
+                raise ValueError(f"{driver_class} pair covariance must be negative")
             if not abs(cov) < sigma * sigma:
-                raise ValueError(f"{label} pair covariance matrix is not positive definite")
+                raise ValueError(f"{driver_class} pair covariance matrix is not positive definite")
 
-    def class_mean(self, driver_class):
+    def of(self, driver_class):
+        """(mu, sigma, cov) of a class: its mean rank, spread and teammate covariance."""
         _check_class(driver_class)
-        return self.mu_elite if driver_class == "elite" else self.mu_nonelite
-
-    def class_sigma(self, driver_class):
-        _check_class(driver_class)
-        return self.sigma_elite if driver_class == "elite" else self.sigma_nonelite
-
-    def class_cov(self, driver_class):
-        _check_class(driver_class)
-        return self.cov_elite_pair if driver_class == "elite" else self.cov_nonelite_pair
+        if driver_class == "elite":
+            return self.mu_elite, self.sigma_elite, self.cov_elite_pair
+        return self.mu_nonelite, self.sigma_nonelite, self.cov_nonelite_pair
 
 
 def _check_class(driver_class):
@@ -150,8 +143,8 @@ def calibration_residuals(params):
     """
     residuals = {}
     for driver_class, (seats, gap, pair_gap) in _BOUNDARIES.items():
-        sigma = params.class_sigma(driver_class)
-        pair_std = (2.0 * sigma**2 + 2.0 * params.class_cov(driver_class)) ** 0.5
+        _, sigma, cov = params.of(driver_class)
+        pair_std = (2.0 * sigma**2 + 2.0 * cov) ** 0.5
         residuals[f"sigma_{driver_class}"] = seats * std_normal_cdf(-gap / sigma) - 1.0
         residuals[f"cov_{driver_class}_pair"] = pair_std - pair_gap / Z_TABLE_LIMIT
     return residuals

@@ -13,7 +13,8 @@ inputs the run read, the parameter values and the tool version;
 re-running with the manifest's configuration reproduces the output
 byte for byte.  A run that fails emits none, and a manifest path that
 cannot be written, or that names the run's results file or summary
-cache, fails the run before the subcommand starts.  Exit
+cache, fails the run before the subcommand starts, as does a summary
+cache path that cannot be written or names the results file.  Exit
 codes: 0 on success, 1 for validation errors (bad flags, malformed
 input files), 2 when the calibration residuals exceed 1e-9.
 """
@@ -21,6 +22,7 @@ input files), 2 when the calibration residuals exceed 1e-9.
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -93,6 +95,7 @@ def _add_season(parser):
                         help="summary cache file to read and update")
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="f1bench", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"f1bench {__version__}")
@@ -137,17 +140,15 @@ def _same_file(path, other):
     return os.path.realpath(path) == os.path.realpath(other)
 
 
-def _check_manifest_path(args):
-    """Fail before the run where writing the manifest after it must fail or clobber an input."""
-    path = args.manifest
+def _check_written_path(label, path, inputs):
+    """Fail before the run where writing ``path`` after it would fail or clobber an input."""
     if os.path.isdir(path):
-        raise ValueError(f"cannot write manifest {path}: is a directory")
+        raise ValueError(f"cannot write {label} {path}: is a directory")
     if not os.path.isdir(os.path.dirname(path) or os.curdir):
-        raise ValueError(f"cannot write manifest {path}: no such directory")
-    for label, other in (("results file", getattr(args, "results", None)),
-                         ("summary cache", getattr(args, "cache", None))):
+        raise ValueError(f"cannot write {label} {path}: no such directory")
+    for input_label, other in inputs.items():
         if other and _same_file(path, other):
-            raise ValueError(f"cannot write manifest {path}: it is the {label}")
+            raise ValueError(f"cannot write {label} {path}: it is the {input_label}")
 
 
 def _emit_manifest(args, recorded, params):
@@ -271,8 +272,12 @@ _COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        cache = getattr(args, "cache", None)
+        inputs = {"results file": getattr(args, "results", None)}
         if args.manifest:
-            _check_manifest_path(args)
+            _check_written_path("manifest", args.manifest, {**inputs, "summary cache": cache})
+        if cache:
+            _check_written_path("summary cache", cache, inputs)
         if args.command in _SEASON_COMMANDS:
             config = _season_config(args)
             extra = _SEASON_COMMANDS[args.command]

@@ -38,8 +38,7 @@ def round_to_position(ranks):
 
 def _position_cdf(params, driver_class):
     """P(position <= k) for k = 0..20: the normal CDF at each bin's upper edge."""
-    mu = params.class_mean(driver_class)
-    sigma = params.class_sigma(driver_class)
+    mu, sigma, _ = params.of(driver_class)
     inner = std_normal_cdf((np.arange(1, N_POSITIONS) + 0.5 - mu) / sigma)
     return np.concatenate(([0.0], inner, [1.0]))
 

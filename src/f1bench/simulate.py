@@ -130,8 +130,9 @@ class SeasonConfig:
                 object.__setattr__(self, field, default)
         for field in ("races_full", "races_sprint", "n_sims", "master_seed"):
             value = getattr(self, field)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ValueError(f"{field} must be an integer, got {value!r}")
+            object.__setattr__(self, field, int(value))
         if self.races_full < 0 or self.races_sprint < 0:
             raise ValueError("race counts must be non-negative")
         if self.races > MAX_RACES:
@@ -229,16 +230,17 @@ def _rank_plan(params, categories):
     kinds = [_category_kind(category) for category in categories]
     classes = list(dict.fromkeys(driver_class for driver_class, _ in kinds))
     pairs = list(dict.fromkeys(driver_class for driver_class, cars in kinds if cars == 2))
-    mu = [params.class_mean(driver_class) for driver_class in classes]
-    a = [params.class_sigma(driver_class) for driver_class in classes]
-    b = []
+    mu, a, b = [], [], []
+    for driver_class in classes:
+        class_mu, sigma, _ = params.of(driver_class)
+        mu.append(class_mu)
+        a.append(sigma)
     for driver_class in pairs:
-        sigma = params.class_sigma(driver_class)
-        cov = params.class_cov(driver_class)
+        class_mu, sigma, cov = params.of(driver_class)
         if not abs(cov) < sigma * sigma:
             raise ValueError("pair covariance matrix is not positive definite")
         rho = cov / (sigma * sigma)
-        mu.append(params.class_mean(driver_class))
+        mu.append(class_mu)
         a.append(rho * sigma)
         b.append(sigma * math.sqrt(1.0 - rho * rho))
     reads = [

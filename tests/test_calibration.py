@@ -129,12 +129,11 @@ def test_unknown_scenario_rejected():
 
 def test_class_accessors():
     params = make_params()
-    assert params.class_mean("elite") == params.mu_elite
-    assert params.class_mean("nonelite") == params.mu_nonelite
-    assert params.class_sigma("elite") == params.sigma_elite
-    assert params.class_cov("nonelite") == params.cov_nonelite_pair
-    with pytest.raises(ValueError):
-        params.class_mean("intermediate")
+    assert params.of("elite") == (params.mu_elite, params.sigma_elite, params.cov_elite_pair)
+    assert params.of("nonelite") == (
+        params.mu_nonelite, params.sigma_nonelite, params.cov_nonelite_pair)
+    with pytest.raises(ValueError, match="unknown driver class 'intermediate'"):
+        params.of("intermediate")
     with pytest.raises(ValueError):
         calibrate("intermediate")
 

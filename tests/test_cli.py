@@ -502,6 +502,38 @@ def test_unwritable_cache_path_is_an_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cache_may_not_name_the_results_file(tmp_path, capsys):
+    # the results file and a hard link to it are refused before the run
+    # and the results are left as they were
+    results = tmp_path / "r.csv"
+    results.write_text("name,team,class,points,entity\n"
+                       "Prodigy,Upstart,nonelite,88,driver\n", encoding="utf-8")
+    os.link(results, tmp_path / "link.csv")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    for cache in (results, tmp_path / "link.csv"):
+        code, out, err = run_cli(capsys, ["benchmark", str(results), "--cache", str(cache)] + SMALL)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"f1bench: error: cannot write summary cache {cache}: it is the results file"]
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recording_parse_args(self, argv=None):
+        parsers.append(self)
+        return parse_args(self, argv)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording_parse_args)
+    for argv in (["calibrate"], ["probs", "--format", "json"]):
+        assert run_cli(capsys, argv)[0] == 0
+    assert len(parsers) == 2
+    assert parsers[0] is parsers[1]
+
+
 def test_benchmark_bundled_corpus(tmp_path, capsys):
     cache = str(tmp_path / "cache.json")
     store_summaries(cache, SeasonConfig(), FULL_SCALE_SUMMARIES)

@@ -84,8 +84,7 @@ def test_bins_match_quadrature():
     # position 1 absorbs the lower tail and position 20 the upper tail
     for driver_class in ("elite", "nonelite"):
         params = make_params()
-        mu = params.class_mean(driver_class)
-        sigma = params.class_sigma(driver_class)
+        mu, sigma, _ = params.of(driver_class)
         probs = position_distribution(params, driver_class)
         for k in range(1, 21):
             lo = -np.inf if k == 1 else k - 0.5
@@ -98,7 +97,7 @@ def test_bins_equal_integer_offset_closed_forms():
     # each bin equals a difference of CDFs at integer arguments
     params = make_params()
     for driver_class, mu in (("elite", 4.5), ("nonelite", 14.5)):
-        sigma = params.class_sigma(driver_class)
+        _, sigma, _ = params.of(driver_class)
         probs = position_distribution(params, driver_class)
         win = std_normal_cdf((1.5 - mu) / sigma)
         assert abs(probs[0] - win) <= 1e-12
@@ -111,8 +110,7 @@ def test_bins_equal_integer_offset_closed_forms():
 def test_aggregates_equal_bin_sums_and_closed_forms():
     params = make_params()
     for driver_class in ("elite", "nonelite"):
-        mu = params.class_mean(driver_class)
-        sigma = params.class_sigma(driver_class)
+        mu, sigma, _ = params.of(driver_class)
         probs = position_distribution(params, driver_class)
         for kind, boundary in AGGREGATE_KINDS.items():
             value = aggregate_probability(params, driver_class, kind)

@@ -43,14 +43,8 @@ class FlatParams:
     def __init__(self, cov):
         self.cov = cov
 
-    def class_mean(self, driver_class):
-        return 4.5
-
-    def class_sigma(self, driver_class):
-        return 2.607903347606801
-
-    def class_cov(self, driver_class):
-        return self.cov
+    def of(self, driver_class):
+        return 4.5, 2.607903347606801, self.cov
 
 
 def test_round_to_position_half_away_from_zero():
@@ -108,6 +102,12 @@ def test_season_config_validation():
                          ("master_seed", True), ("n_sims", np.float64(100))):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SeasonConfig(**{field: value})
+    # numpy integers pass, as they do for a replay's index, and are stored as ints
+    for field, value in (("n_sims", np.int64(1000)), ("races_full", np.int32(3)),
+                         ("races_sprint", np.int64(0)), ("master_seed", np.uint64(2**64 - 1))):
+        config = SeasonConfig(**{field: value})
+        assert config == SeasonConfig(**{field: int(value)})
+        assert type(getattr(config, field)) is int
     with pytest.raises(ValueError):
         SeasonConfig(scenario="bogus")
     # the caps hold a team histogram to 4 MB and the block list to a few
@@ -320,8 +320,7 @@ def test_acklam_equals_masked_reference():
 
 def _bin_edge_uniforms(params, driver_class):
     """Uniforms whose polished rank lies on or a few ulps off each bin edge."""
-    mu = params.class_mean(driver_class)
-    sigma = params.class_sigma(driver_class)
+    mu, sigma, _ = params.of(driver_class)
     edges = std_normal_cdf((np.arange(1, 20) + 0.5 - mu) / sigma)
     return (edges[:, None] + np.arange(-3, 4) * 2.0 ** -53).ravel()
 
@@ -573,8 +572,8 @@ def test_histogram_summary_equals_summary_of_expanded_totals():
 class WinnerParams(FlatParams):
     """Every rank far below 1, so every car wins every race."""
 
-    def class_mean(self, driver_class):
-        return -1000.0
+    def of(self, driver_class):
+        return -1000.0, *super().of(driver_class)[1:]
 
 
 def test_row_totals_beyond_int16():
