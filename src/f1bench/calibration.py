@@ -26,7 +26,8 @@ both of which come out negative, as a shared car and intra-team
 rivalry suggest they should.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .normal import std_normal_cdf, std_normal_quantile
 
@@ -79,6 +80,10 @@ class ModelParams:
     cov_nonelite_pair: float
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if not (self.sigma_elite > 0.0 and self.sigma_nonelite > 0.0):
             raise ValueError("standard deviations must be positive")
         if not self.sigma_nonelite > self.sigma_elite:

@@ -41,7 +41,7 @@ from .probabilities import (
     AGGREGATE_KINDS, aggregate_probability, position_distribution,
 )
 from .simulate import (
-    CATEGORIES, DEFAULT_SEED, SeasonConfig,
+    CATEGORIES, DEFAULT_SEED, MAX_WORKERS, SeasonConfig,
     load_cached_summaries, rookie_benchmark, store_summaries, summarize_all,
 )
 
@@ -90,7 +90,7 @@ def _add_season(parser):
     parser.add_argument("--races-sprint", type=int, default=None,
                         help="sprint races per season (default: per scenario)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads (at least 1); has no effect on results")
+                        help=f"worker threads (1 to {MAX_WORKERS}); has no effect on results")
     parser.add_argument("--cache", default=None, metavar="PATH",
                         help="summary cache file to read and update")
 
@@ -124,6 +124,8 @@ def build_parser():
 def _season_config(args):
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    if args.workers > MAX_WORKERS:
+        raise ValueError(f"--workers must be at most {MAX_WORKERS}, got {args.workers}")
     return SeasonConfig(
         races_full=args.races_full,
         races_sprint=args.races_sprint,

@@ -46,6 +46,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 import tempfile
@@ -61,7 +62,8 @@ from .normal import _acklam, std_normal_quantile
 from .probabilities import FULL_RACE_POINTS, SPRINT_POINTS, round_to_position
 
 __all__ = [
-    "CHUNK_SIMS", "DEFAULT_SEED", "MAX_RACES", "MAX_SIMS", "CATEGORIES", "SCENARIO_SEASONS",
+    "CHUNK_SIMS", "DEFAULT_SEED", "MAX_RACES", "MAX_SIMS", "MAX_WORKERS", "CATEGORIES",
+    "SCENARIO_SEASONS",
     "SeasonConfig", "SimulationSummary", "round_to_position",
     "simulate_driver_season", "simulate_team_season", "season_totals",
     "summarize", "summarize_all", "rookie_benchmark",
@@ -102,6 +104,9 @@ MAX_RACES = 10_000
 # ``_map_blocks`` lists a season run's blocks up front; 10^9 seasons are
 # 61036 blocks of ``_BLOCK_SIMS``, a list of under 10 MB.
 MAX_SIMS = 10 ** 9
+# ``_map_blocks`` starts up to this many threads, however many blocks a
+# run has.
+MAX_WORKERS = 256
 
 # The quantiles of the 95% interval, as np.percentile forms them.
 _BAND_QUANTILES = np.array([2.5, 97.5]) / 100
@@ -163,6 +168,14 @@ class SimulationSummary:
     def __post_init__(self):
         if self.category not in CATEGORIES:
             raise ValueError(f"unknown category {self.category!r}")
+        for field in ("mean_points", "ci_low", "ci_high"):
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{field} must be a real number, got {value!r}")
+            object.__setattr__(self, field, float(value))
+        if not (_is_int(self.n_sims) and self.n_sims >= 1):
+            raise ValueError(f"n_sims must be an integer of at least 1, got {self.n_sims!r}")
+        object.__setattr__(self, "n_sims", int(self.n_sims))
         # The mean may lie outside the band: one scoring season in forty gives 0..0.
         if not (all(map(math.isfinite, (self.mean_points, self.ci_low, self.ci_high)))
                 and self.ci_low <= self.ci_high):
@@ -340,8 +353,8 @@ def _check_run(categories, workers):
     for category in categories:
         if category not in CATEGORIES:
             raise ValueError(f"unknown category {category!r}; expected one of {CATEGORIES}")
-    if not (_is_int(workers) and workers >= 1):
-        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
+    if not (_is_int(workers) and 1 <= workers <= MAX_WORKERS):
+        raise ValueError(f"workers must be an integer from 1 to {MAX_WORKERS}, got {workers!r}")
 
 
 def _map_blocks(run, n_sims, workers):

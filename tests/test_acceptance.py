@@ -2,24 +2,21 @@
 
 Each test evaluates one acceptance criterion at its stated tolerance
 and prints a single ``CRITERION n PASS/FAIL`` line (visible with
-``pytest -s`` or in the failure output).  The simulation fixtures run
-1,000,000 seasons, so this module dominates the suite's runtime.
+``pytest -s`` or in the failure output).  The 1,000,000-season runs
+they read are the session fixtures of ``conftest.py``: ``full_runs``
+for the baseline and dominant summaries and ``one_race_samples`` for
+one race's positions and teammate rank pairs.
 """
 
 import json
-import time
 
 import numpy as np
-import pytest
 
 from f1bench.benchmark import classify_season, load_bundled_results
 from f1bench.calibration import calibrate, calibration_residuals, make_params
 from f1bench.normal import std_normal_cdf, std_normal_quantile
 from f1bench.probabilities import position_distribution
-from f1bench.simulate import (
-    SeasonConfig, rookie_benchmark, sample_pair_ranks, sample_positions,
-    summarize, summarize_all,
-)
+from f1bench.simulate import SeasonConfig, rookie_benchmark, summarize_all
 
 # Benchmark values the full-scale runs must land on, with the interval
 # endpoints reported as (low, high).
@@ -93,21 +90,6 @@ def check_summary(problems, label, summary, target):
         problems.append(f"{label} ci_high {summary.ci_high} not within {ci_tol} of {high}")
 
 
-@pytest.fixture(scope="module")
-def baseline_run():
-    config = SeasonConfig()
-    start = time.perf_counter()
-    summaries = summarize_all(config, workers=4)
-    elapsed = time.perf_counter() - start
-    return config, summaries, elapsed
-
-
-@pytest.fixture(scope="module")
-def dominant_run():
-    config = SeasonConfig(scenario="dominant")
-    return {category: summarize(category, config) for category in ("elite_driver", "elite_team")}
-
-
 def test_criterion_1_calibration_exactness():
     problems = []
     sigma_elite, cov_elite = calibrate("elite")
@@ -129,8 +111,8 @@ def test_criterion_1_calibration_exactness():
            f"{cov_elite:.6f}, {cov_nonelite:.6f}), worst residual {worst:.2e}")
 
 
-def test_criterion_2_baseline_benchmarks(baseline_run):
-    _, summaries, elapsed = baseline_run
+def test_criterion_2_baseline_benchmarks(full_runs):
+    _, summaries, elapsed = full_runs["baseline"]
     problems = []
     for category, target in BASELINE_TARGETS.items():
         check_summary(problems, category, summaries[category], target)
@@ -143,11 +125,12 @@ def test_criterion_2_baseline_benchmarks(baseline_run):
     report(2, problems, f"{observed}, elapsed {elapsed:.1f}s")
 
 
-def test_criterion_3_dominant_and_rookie(baseline_run, dominant_run):
-    _, baseline, _ = baseline_run
+def test_criterion_3_dominant_and_rookie(full_runs):
+    baseline = full_runs["baseline"].summaries
+    dominant = full_runs["dominant"].summaries
     problems = []
     for category, target in DOMINANT_TARGETS.items():
-        check_summary(problems, f"dominant {category}", dominant_run[category], target)
+        check_summary(problems, f"dominant {category}", dominant[category], target)
     rookie = rookie_benchmark(baseline["elite_driver"])
     base = baseline["elite_driver"]
     if (rookie.mean_points, rookie.ci_low, rookie.ci_high) != (
@@ -160,8 +143,8 @@ def test_criterion_3_dominant_and_rookie(baseline_run, dominant_run):
     ):
         if abs(value - expected) > tol:
             problems.append(f"{label} {value} not within {tol} of {expected}")
-    driver = dominant_run["elite_driver"]
-    team = dominant_run["elite_team"]
+    driver = dominant["elite_driver"]
+    team = dominant["elite_team"]
     report(3, problems,
            f"dominant driver {driver.mean_points:.3f} ({driver.ci_low:.0f}, "
            f"{driver.ci_high:.0f}), team {team.mean_points:.3f} ({team.ci_low:.0f}, "
@@ -169,7 +152,7 @@ def test_criterion_3_dominant_and_rookie(baseline_run, dominant_run):
            f"{rookie.ci_low}, {rookie.ci_high})")
 
 
-def test_criterion_4_law_equivalence():
+def test_criterion_4_law_equivalence(one_race_samples):
     params = make_params()
     config = SeasonConfig()
     problems = []
@@ -178,7 +161,7 @@ def test_criterion_4_law_equivalence():
         analytic = position_distribution(params, driver_class)
         if abs(analytic.sum() - 1.0) > 1e-9:
             problems.append(f"{driver_class} bins sum to {analytic.sum()!r}")
-        positions = sample_positions(params, driver_class, config)
+        positions = one_race_samples[driver_class].positions
         freq = np.bincount(positions, minlength=21)[1:] / config.n_sims
         gap = np.abs(freq - analytic).max()
         worst = max(worst, gap)
@@ -187,11 +170,10 @@ def test_criterion_4_law_equivalence():
     report(4, problems, f"worst |frequency - analytic bin| {worst:.2e} over 1e6 draws")
 
 
-def test_criterion_5_pair_constraints():
+def test_criterion_5_pair_constraints(one_race_samples):
     params = make_params()
-    config = SeasonConfig()
     problems = []
-    r1, r2 = sample_pair_ranks(params, "elite", config)
+    r1, r2 = one_race_samples["elite"].pair
     elite_violations = int((r1 + r2 <= 3.0).sum())
     if elite_violations > 5:
         problems.append(f"{elite_violations} elite pair-sum violations (limit 5)")
@@ -199,7 +181,7 @@ def test_criterion_5_pair_constraints():
     corr_elite = float(np.corrcoef(r1, r2)[0, 1])
     if abs(corr_elite - rho_elite) > 0.01:
         problems.append(f"elite correlation {corr_elite:.5f} not within 0.01 of {rho_elite:.5f}")
-    n1, n2 = sample_pair_ranks(params, "nonelite", config)
+    n1, n2 = one_race_samples["nonelite"].pair
     nonelite_ok = float(((n1 + n2) <= 39.0).mean())
     if nonelite_ok < 0.999998:
         problems.append(f"nonelite pair-sum frequency {nonelite_ok} < 0.999998")
@@ -213,8 +195,8 @@ def test_criterion_5_pair_constraints():
            f"correlations {corr_elite:.5f}/{corr_nonelite:.5f}")
 
 
-def test_criterion_6_verdict_regression(baseline_run):
-    _, summaries, _ = baseline_run
+def test_criterion_6_verdict_regression(full_runs):
+    summaries = full_runs["baseline"].summaries
     problems = []
     records = load_bundled_results()
     verdicts = classify_season(records, summaries)
@@ -237,8 +219,8 @@ def test_criterion_6_verdict_regression(baseline_run):
            "and 10 teams; team points equal driver sums")
 
 
-def test_criterion_7_worker_determinism(baseline_run):
-    config, summaries, _ = baseline_run
+def test_criterion_7_worker_determinism(full_runs):
+    config, summaries, _ = full_runs["baseline"]
     problems = []
     reference = json.dumps(
         {category: summary.as_dict() for category, summary in summaries.items()},

@@ -369,13 +369,20 @@ def test_process_entry_point(capsys):
     assert runs[1].stdout == ""
 
 
-def test_invalid_workers_rejected(capsys):
+def test_invalid_workers_rejected(tmp_path, capsys):
     for workers in ("0", "-3"):
         code, out, err = run_cli(capsys, ["simulate", "--workers", workers] + SMALL)
         assert code == 1
         assert out == ""
         # rejected before the manifest is written
         assert err.splitlines() == [f"f1bench: error: --workers must be at least 1, got {workers}"]
+    # above the cap, even where the cache already holds the answer
+    cache = str(tmp_path / "cache.json")
+    run_cli(capsys, ["simulate", "--cache", cache] + SMALL)
+    for argv in (["simulate"], ["simulate", "--cache", cache], ["benchmark", "--cache", cache]):
+        code, out, err = run_cli(capsys, argv + ["--workers", "257"] + SMALL)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["f1bench: error: --workers must be at most 256, got 257"]
 
 
 def test_failed_run_writes_no_manifest(tmp_path, capsys):

@@ -2,13 +2,16 @@
 
 Statistical checks run at 200,000 simulations with a fixed seed, so
 every assertion is deterministic; the tolerances leave several
-standard errors of headroom at that sample size.
+standard errors of headroom at that sample size.  They read the first
+200,000 seasons of the session's one-race samples (``conftest.py``),
+which are the draws a 200,000-season run makes.
 """
 
 import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import tracemalloc
 
@@ -22,7 +25,7 @@ from f1bench.normal import (
 )
 from f1bench.probabilities import FULL_RACE_POINTS, SPRINT_POINTS, position_distribution
 from f1bench.simulate import (
-    CATEGORIES, CHUNK_SIMS, DEFAULT_SEED, MAX_RACES, MAX_SIMS, SCENARIO_SEASONS,
+    CATEGORIES, CHUNK_SIMS, DEFAULT_SEED, MAX_RACES, MAX_SIMS, MAX_WORKERS, SCENARIO_SEASONS,
     SeasonConfig, SimulationSummary, load_cached_summaries,
     rookie_benchmark, round_to_position, sample_pair_ranks,
     sample_positions, season_totals, simulate_driver_season,
@@ -34,7 +37,7 @@ from f1bench.simulate import (
 )
 
 PARAMS = make_params()
-STAT_CONFIG = SeasonConfig(n_sims=200_000)
+STAT_SIMS = 200_000
 
 
 class FlatParams:
@@ -159,6 +162,21 @@ def test_simulation_summary_validation():
         with pytest.raises(ValueError):
             SimulationSummary(category="elite_driver", mean_points=6.5,
                               ci_low=6.0, ci_high=value, n_sims=100)
+    # the values are real numbers, not bools or strings, and are stored as floats
+    for field, value in (("ci_low", True), ("mean_points", False), ("ci_high", "7.0"),
+                         ("mean_points", None)):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            SimulationSummary(**{"category": "elite_driver", "mean_points": 6.5,
+                                 "ci_low": 6.0, "ci_high": 7.0, "n_sims": 100, field: value})
+    summary = SimulationSummary("elite_driver", 6, np.int64(6), np.float32(7.5), np.int64(100))
+    assert summary == SimulationSummary("elite_driver", 6.0, 6.0, 7.5, 100)
+    assert {type(value) for value in (summary.mean_points, summary.ci_low, summary.ci_high)} \
+        == {float}
+    assert type(summary.n_sims) is int
+    # the season count is an integer of at least 1
+    for n_sims in (1000.0, True, 0, -5, "100"):
+        with pytest.raises(ValueError, match="n_sims must be an integer of at least 1"):
+            SimulationSummary("elite_driver", 6.5, 6.0, 7.0, n_sims)
 
 
 def test_summary_mean_may_lie_outside_the_band():
@@ -196,14 +214,17 @@ def test_worker_count_does_not_change_totals():
 
 def test_invalid_worker_count_rejected():
     config = SeasonConfig(races_full=1, races_sprint=0, n_sims=100)
-    for workers in (0, -3, 2.5, True):
+    # a count above the cap fails before the pool is built
+    for workers in (0, -3, 2.5, True, MAX_WORKERS + 1):
         with pytest.raises(ValueError, match="workers"):
             season_totals("elite_driver", config, workers=workers)
         with pytest.raises(ValueError, match="workers"):
             summarize_all(config, workers=workers)
-    # a numpy integer is a worker count
-    assert (season_totals("elite_driver", config, workers=np.int64(2))
-            == season_totals("elite_driver", config)).all()
+    # a numpy integer is a worker count, and so is the cap; one block
+    # runs serially whatever the count
+    for workers in (np.int64(2), MAX_WORKERS):
+        assert (season_totals("elite_driver", config, workers=workers)
+                == season_totals("elite_driver", config)).all()
 
 
 def test_pool_is_no_larger_than_the_block_count(monkeypatch):
@@ -233,7 +254,8 @@ def test_prefix_property():
 # sha256 of each category's season_totals as little-endian int64 bytes
 # at seed 2025, for the baseline (24 + 6 races) and dominant (18 + 6
 # races, elite mean 5.5) seasons.  300000 seasons span two full chunks
-# and end in a partial one, so chunk edges are part of the check.
+# and end in a partial one, so chunk edges are part of the check.  The
+# totals are the session's ``golden_runs``.
 GOLDEN_DIGESTS = {
     "baseline": {
         "elite_driver": "40f13de8bb1f571f3650cce8a85ffcce4ed779c15b9359262dba993357b1481a",
@@ -250,16 +272,28 @@ GOLDEN_DIGESTS = {
 }
 
 
-def test_golden_digests():
+def test_golden_digests(golden_runs):
     for scenario, digests in GOLDEN_DIGESTS.items():
-        full, sprint = SCENARIO_SEASONS[scenario]
-        config = SeasonConfig(races_full=full, races_sprint=sprint, n_sims=300_000,
-                              master_seed=2025, scenario=scenario)
-        params = make_params(scenario)
         for category in CATEGORIES:
-            totals = season_totals(category, config, params=params, workers=2)
+            totals = golden_runs[scenario].totals[category]
             digest = hashlib.sha256(np.asarray(totals, dtype="<i8").tobytes()).hexdigest()
             assert digest == digests[category], (scenario, category)
+
+
+def test_golden_runs_polish_as_often_as_the_screen_predicts(golden_runs):
+    # Each rank row's density sums to 1 over the half-integer bin edges,
+    # so a row lands within _EDGE_MARGIN of one with probability
+    # 2 * _EDGE_MARGIN per season-step.  The golden runs build 6 rows:
+    # one per driver category and two per team category.
+    for scenario, run in golden_runs.items():
+        expected = 6 * 2 * _EDGE_MARGIN * run.config.n_sims * run.config.races
+        band = 5 * math.sqrt(expected)
+        # the band excludes 0, so a silent screen fails
+        assert band < expected, scenario
+        assert abs(run.polished - expected) <= band, (scenario, run.polished, expected)
+        # no polished rank sits within a last-bit difference of libm's
+        # erfc or exp of a bin edge, so the digests hold on any IEEE-754 host
+        assert run.closest >= 1e-12, (scenario, run.closest)
 
 
 def test_acklam_start_stays_within_margin():
@@ -451,11 +485,23 @@ def test_unknown_category():
         summarize("reserve_driver", config)
 
 
-def test_law_equivalence():
+def test_one_race_samples_are_prefixes_of_shorter_runs(one_race_samples):
+    # the statistical tests slice the session's samples; a run that
+    # ends past a block edge draws the same seasons
+    config = SeasonConfig(n_sims=_BLOCK_SIMS + 5)
+    for driver_class in ("elite", "nonelite"):
+        sample = one_race_samples[driver_class]
+        assert (sample_positions(PARAMS, driver_class, config)
+                == sample.positions[:config.n_sims]).all()
+        for got, held in zip(sample_pair_ranks(PARAMS, driver_class, config), sample.pair):
+            assert got.tobytes() == held[:config.n_sims].tobytes()
+
+
+def test_law_equivalence(one_race_samples):
     # empirical position frequencies track the analytic bins
     for driver_class in ("elite", "nonelite"):
-        positions = sample_positions(PARAMS, driver_class, STAT_CONFIG)
-        freq = np.bincount(positions, minlength=21)[1:] / STAT_CONFIG.n_sims
+        positions = one_race_samples[driver_class].positions[:STAT_SIMS]
+        freq = np.bincount(positions, minlength=21)[1:] / STAT_SIMS
         analytic = position_distribution(PARAMS, driver_class)
         assert np.abs(freq - analytic).max() <= 0.005
 
@@ -473,25 +519,29 @@ def test_one_race_samples_score_like_season_totals():
         assert (team == season_totals(f"{driver_class}_team", config)).all()
 
 
-def test_raw_elite_mean():
-    r1, _ = sample_pair_ranks(PARAMS, "elite", STAT_CONFIG)
+def _stat_pair(one_race_samples, driver_class):
+    return tuple(ranks[:STAT_SIMS] for ranks in one_race_samples[driver_class].pair)
+
+
+def test_raw_elite_mean(one_race_samples):
+    r1, _ = _stat_pair(one_race_samples, "elite")
     assert abs(r1.mean() - 4.5) <= 0.02
 
 
-def test_pair_sum_constraints():
-    r1, r2 = sample_pair_ranks(PARAMS, "elite", STAT_CONFIG)
+def test_pair_sum_constraints(one_race_samples):
+    r1, r2 = _stat_pair(one_race_samples, "elite")
     # the elite pair-sum boundary at 3 carries ~5e-7 mass, so even one
     # event would be unusual at this sample size
     assert int((r1 + r2 <= 3.0).sum()) <= 1
-    n1, n2 = sample_pair_ranks(PARAMS, "nonelite", STAT_CONFIG)
+    n1, n2 = _stat_pair(one_race_samples, "nonelite")
     assert ((n1 + n2) <= 39.0).mean() >= 0.999998
 
 
-def test_teammate_correlation():
-    r1, r2 = sample_pair_ranks(PARAMS, "elite", STAT_CONFIG)
+def test_teammate_correlation(one_race_samples):
+    r1, r2 = _stat_pair(one_race_samples, "elite")
     rho_elite = PARAMS.cov_elite_pair / PARAMS.sigma_elite**2
     assert abs(np.corrcoef(r1, r2)[0, 1] - rho_elite) <= 0.01
-    n1, n2 = sample_pair_ranks(PARAMS, "nonelite", STAT_CONFIG)
+    n1, n2 = _stat_pair(one_race_samples, "nonelite")
     rho_nonelite = PARAMS.cov_nonelite_pair / PARAMS.sigma_nonelite**2
     assert abs(np.corrcoef(n1, n2)[0, 1] - rho_nonelite) <= 0.01
 
@@ -536,18 +586,14 @@ def _summary_of(category, totals):
     return SimulationSummary(category, float(totals.mean()), float(low), float(high), totals.size)
 
 
-def test_summaries_equal_summaries_of_season_totals():
-    # chunk edges and block edges both fall inside the run, and it ends
-    # in a partial block
-    n_sims = 2 * CHUNK_SIMS + 3 * _BLOCK_SIMS + 5
-    for scenario in ("baseline", "dominant"):
-        config = SeasonConfig(n_sims=n_sims, scenario=scenario)
-        params = make_params(scenario)
-        expected = {
-            category: _summary_of(category, season_totals(category, config, params=params,
-                                                          workers=2))
-            for category in CATEGORIES
-        }
+def test_summaries_equal_summaries_of_season_totals(golden_runs):
+    for scenario, run in golden_runs.items():
+        config = run.config
+        # chunk edges and block edges both fall inside the run, and it
+        # ends in a partial block
+        assert config.n_sims > 2 * CHUNK_SIMS and config.n_sims % _BLOCK_SIMS == 5088
+        expected = {category: _summary_of(category, run.totals[category])
+                    for category in CATEGORIES}
         for workers in (1, 3):
             assert summarize_all(config, workers=workers) == expected, (scenario, workers)
         for category in CATEGORIES:
@@ -792,6 +838,9 @@ def test_malformed_summary_cache_entry_is_a_miss(tmp_path, capsys):
     resized = {category: dict(fields, n_sims=7) for category, fields in entry.items()}
     inverted = dict(entry, elite_team=dict(entry["elite_team"], ci_low=700.0, ci_high=600.0))
     not_a_number = dict(entry, elite_team=dict(entry["elite_team"], mean_points=float("nan")))
+    # JSON types a summary does not hold: a bool endpoint, a float count
+    boolean = dict(entry, elite_driver=dict(entry["elite_driver"], ci_low=True))
+    float_count = {category: dict(fields, n_sims=1000.0) for category, fields in entry.items()}
     for bad in (
         {category: fields for category, fields in entry.items() if category != "elite_team"},
         dict(entry, rookie_elite_driver=entry["elite_driver"]),
@@ -799,6 +848,8 @@ def test_malformed_summary_cache_entry_is_a_miss(tmp_path, capsys):
         resized,
         inverted,
         not_a_number,
+        boolean,
+        float_count,
         ["elite_driver", "elite_team", "nonelite_driver", "nonelite_team"],
     ):
         with open(path, "w", encoding="utf-8") as handle:
@@ -810,6 +861,16 @@ def test_malformed_summary_cache_entry_is_a_miss(tmp_path, capsys):
         json.dump({fingerprint: [key]}, handle)
     assert load_cached_summaries(path, config) is None
     assert path in capsys.readouterr().err
+    # an integer endpoint is a hit that reads back as the float a fresh run gives
+    whole = dict(entry, elite_team=dict(entry["elite_team"],
+                                        ci_high=int(entry["elite_team"]["ci_high"])))
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({fingerprint: {key: whole}}, handle)
+    loaded = load_cached_summaries(path, config)
+    assert capsys.readouterr().err == ""
+    assert loaded == summaries
+    assert (json.dumps({c: s.as_dict() for c, s in loaded.items()})
+            == json.dumps({c: s.as_dict() for c, s in summaries.items()}))
     # a well-formed entry still loads, without a warning
     store_summaries(path, config, summaries)
     assert load_cached_summaries(path, config) == summaries
