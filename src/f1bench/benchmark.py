@@ -8,6 +8,7 @@ the code, since the set of front-running teams changes over the years.
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -157,11 +158,16 @@ def ingest_results(source):
     return records
 
 
+@functools.cache
 def load_bundled_results():
-    """Records of the bundled 2025 season regression corpus."""
+    """Records of the bundled 2025 season regression corpus, as a tuple.
+
+    The file is parsed once per process; every call returns the same
+    tuple of frozen records.
+    """
     data = resources.files(__package__).joinpath("data", BUNDLED_RESULTS)
     with data.open(encoding="utf-8") as handle:
-        return ingest_results(handle)
+        return tuple(ingest_results(handle))
 
 
 def verdict_rows(verdicts):

@@ -587,7 +587,9 @@ def store_summaries(path, config, summaries):
     """Store summaries for a configuration beside the current model's entries.
 
     Entries of other models are dropped.  An unreadable existing file
-    is replaced.  The new contents go to a temporary file in the same
+    is replaced.  The file is written as one line of JSON with sorted
+    keys; any valid JSON layout, such as an indented one, reads back.
+    The new contents go to a temporary file in the same
     directory that is then renamed over ``path``, so a reader sees
     either the old file or the new one.
     """
@@ -602,8 +604,9 @@ def store_summaries(path, config, summaries):
                                      prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump({_model_fingerprint(): entries}, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            # one dumps call without indent takes json's C encoder; dump
+            # to a handle, or any indent, takes the pure-Python one
+            handle.write(json.dumps({_model_fingerprint(): entries}, sort_keys=True) + "\n")
         os.replace(temp_path, path)
     except BaseException:
         os.unlink(temp_path)

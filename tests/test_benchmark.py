@@ -1,5 +1,6 @@
 """Tests for results ingestion and verdict classification."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -212,6 +213,15 @@ def test_bundled_corpus_shape():
     assert len(teams) == 10
     elite_teams = {r.name for r in teams if r.entrant_class == "elite"}
     assert elite_teams == {"McLaren", "Mercedes", "Red Bull", "Ferrari"}
+
+
+def test_bundled_corpus_is_parsed_once():
+    records = load_bundled_results()
+    assert isinstance(records, tuple)
+    assert load_bundled_results() is records
+    # the one tuple is shared by every caller, so its records are frozen
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        records[0].points = 0.0
 
 
 def test_bundled_team_points_equal_driver_sums():

@@ -19,9 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from f1bench import cli
+from f1bench import benchmark, cli
 from f1bench.cli import build_parser, main
-from f1bench.simulate import SeasonConfig, SimulationSummary, store_summaries, summarize_all
+from f1bench.simulate import (
+    SeasonConfig, SimulationSummary, load_cached_summaries, store_summaries, summarize_all,
+)
 
 # Full-scale (1e6 sims, seed 2025) summaries frozen from a verified
 # run, used to pre-seed the cache so benchmark tests stay fast.
@@ -496,6 +498,45 @@ def test_malformed_cache_entry_is_recomputed_and_rewritten(tmp_path, capsys):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (0, expected)
     assert "warning" not in err
+
+
+def test_indented_cache_file_still_reads(tmp_path, capsys):
+    # earlier versions wrote the cache indented; such a file is a hit, and
+    # the next store keeps its entries and rewrites it as one sorted line
+    compact = tmp_path / "compact.json"
+    store_summaries(str(compact), SeasonConfig(), FULL_SCALE_SUMMARIES)
+    payload = json.loads(compact.read_text(encoding="utf-8"))
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    assert load_cached_summaries(str(indented), SeasonConfig()) == FULL_SCALE_SUMMARIES
+    for fmt in ("md", "csv", "json"):
+        _, expected, _ = run_cli(capsys, ["benchmark", "--cache", str(compact), "--format", fmt])
+        code, out, err = run_cli(capsys, ["benchmark", "--cache", str(indented), "--format", fmt])
+        assert (code, out) == (0, expected), fmt
+        assert "warning" not in err
+    store_summaries(str(indented), SeasonConfig(master_seed=7), FULL_SCALE_SUMMARIES)
+    text = indented.read_text(encoding="utf-8")
+    rewritten = json.loads(text)
+    assert text == json.dumps(rewritten, sort_keys=True) + "\n"
+    (fingerprint, entries), = payload.items()
+    (key,) = set(rewritten[fingerprint]) - set(entries)
+    assert "master_seed=7" in key
+    new_entry = {category: summary.as_dict() for category, summary in FULL_SCALE_SUMMARIES.items()}
+    assert rewritten == {fingerprint: {**entries, key: new_entry}}
+
+
+def test_benchmark_parses_the_bundled_season_once(tmp_path, capsys, monkeypatch):
+    cache = str(tmp_path / "cache.json")
+    store_summaries(cache, SeasonConfig(), FULL_SCALE_SUMMARIES)
+    argv = ["benchmark", "--cache", cache]
+    code, first, _ = run_cli(capsys, argv)
+    parsed = []
+    ingest = benchmark.ingest_results
+    monkeypatch.setattr(benchmark, "ingest_results",
+                        lambda source: parsed.append(source) or ingest(source))
+    code_again, second, _ = run_cli(capsys, argv)
+    assert (code, code_again, second) == (0, 0, first)
+    assert parsed == []
 
 
 def test_unwritable_cache_path_is_an_error(tmp_path, capsys):
