@@ -28,7 +28,9 @@ ARROWS = {"above": "↑", "meets": "→", "below": "↓"}
 CSV_FIELDS = ("name", "team", "class", "points", "entity")
 VERDICT_FIELDS = ("name", "team", "class", "entity", "points", "ci_low", "ci_high", "outcome")
 
-BUNDLED_RESULTS = "season_2025.csv"
+# The packaged 2025 season.  The command line reads this path to refuse
+# a cache or manifest that would be written over it.
+BUNDLED_RESULTS = resources.files(__package__).joinpath("data", "season_2025.csv")
 
 
 @dataclass(frozen=True)
@@ -165,8 +167,7 @@ def load_bundled_results():
     The file is parsed once per process; every call returns the same
     tuple of frozen records.
     """
-    data = resources.files(__package__).joinpath("data", BUNDLED_RESULTS)
-    with data.open(encoding="utf-8") as handle:
+    with BUNDLED_RESULTS.open(encoding="utf-8") as handle:
         return tuple(ingest_results(handle))
 
 

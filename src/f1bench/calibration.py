@@ -33,7 +33,7 @@ from .normal import std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "MU_ELITE", "MU_NONELITE", "MU_ELITE_DOMINANT", "Z_TABLE_LIMIT",
-    "DRIVER_CLASSES", "SCENARIOS", "SCENARIO_SEASONS", "SCENARIO_ALIASES", "ModelParams",
+    "DRIVER_CLASSES", "SCENARIOS", "SCENARIO_SEASONS", "ModelParams",
     "canonical_scenario", "calibrate", "make_params", "calibration_residuals",
 ]
 
@@ -57,15 +57,13 @@ _BOUNDARIES = {"elite": (8, 3.0, 6.0), "nonelite": (12, 5.0, 10.0)}
 
 DRIVER_CLASSES = tuple(_BOUNDARIES)
 SCENARIOS = tuple(SCENARIO_SEASONS)
-SCENARIO_ALIASES = {"dominant_manufacturer": "dominant"}
 
 
 def canonical_scenario(name):
-    """Normalize a scenario name, accepting the long dominant spelling."""
-    kind = SCENARIO_ALIASES.get(name, name)
-    if kind not in SCENARIOS:
+    """``name`` if it names a scenario; ``ValueError`` otherwise."""
+    if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
-    return kind
+    return name
 
 
 @dataclass(frozen=True)

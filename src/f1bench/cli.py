@@ -12,11 +12,12 @@ with ``--manifest``) once the subcommand has finished, recording the
 inputs the run read, the parameter values and the tool version;
 re-running with the manifest's configuration reproduces the output
 byte for byte.  A run that fails emits none, and a manifest path that
-cannot be written, or that names the run's results file or summary
-cache, fails the run before the subcommand starts, as does a summary
-cache path that cannot be written or names the results file.  Exit
-codes: 0 on success, 1 for validation errors (bad flags, malformed
-input files), 2 when the calibration residuals exceed 1e-9.
+cannot be written, or that names the run's results file, the bundled
+results file or the summary cache, fails the run before the subcommand
+starts, as does a summary cache path that cannot be written, is not a
+regular file or names either results file.  Exit codes: 0 on success,
+1 for validation errors (bad flags, malformed input files), 2 when the
+calibration residuals exceed 1e-9.
 """
 
 import argparse
@@ -28,14 +29,13 @@ import os
 import sys
 from datetime import datetime, timezone
 
-from . import __version__
+from . import __version__, benchmark
 from .benchmark import (
     VERDICT_FIELDS, ingest_results, classify_season, load_bundled_results,
     markdown_report, markdown_table, verdict_rows,
 )
 from .calibration import (
-    DRIVER_CLASSES, SCENARIO_ALIASES, SCENARIOS, calibration_residuals, canonical_scenario,
-    make_params,
+    DRIVER_CLASSES, SCENARIOS, calibration_residuals, make_params,
 )
 from .probabilities import (
     AGGREGATE_KINDS, aggregate_probability, position_distribution,
@@ -71,7 +71,7 @@ def _fail(message):
 def _add_common(parser, default_format="csv"):
     """Flags every subcommand reads."""
     parser.add_argument("--scenario", default="baseline",
-                        choices=(*SCENARIOS, *SCENARIO_ALIASES),
+                        choices=SCENARIOS,
                         help="parameter scenario (default: baseline)")
     parser.add_argument("--format", default=default_format, choices=FORMATS,
                         help=f"output format (default: {default_format})")
@@ -137,9 +137,10 @@ def _season_config(args):
 
 def _same_file(path, other):
     """Whether two paths name one file: by device and inode where both exist."""
-    if os.path.exists(path) and os.path.exists(other):
+    try:
         return os.path.samefile(path, other)
-    return os.path.realpath(path) == os.path.realpath(other)
+    except OSError:
+        return os.path.realpath(path) == os.path.realpath(other)
 
 
 def _check_written_path(label, path, inputs):
@@ -275,11 +276,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cache = getattr(args, "cache", None)
-        inputs = {"results file": getattr(args, "results", None)}
+        inputs = {"results file": getattr(args, "results", None),
+                  "bundled results file": benchmark.BUNDLED_RESULTS}
         if args.manifest:
             _check_written_path("manifest", args.manifest, {**inputs, "summary cache": cache})
         if cache:
             _check_written_path("summary cache", cache, inputs)
+            # a FIFO would block the cache read, a device fail the late write
+            if os.path.exists(cache) and not os.path.isfile(cache):
+                raise ValueError(f"cannot write summary cache {cache}: not a regular file")
         if args.command in _SEASON_COMMANDS:
             config = _season_config(args)
             extra = _SEASON_COMMANDS[args.command]
@@ -287,7 +292,7 @@ def main(argv=None):
                         extra: getattr(args, extra)}
         else:
             config = None
-            recorded = {"scenario": canonical_scenario(args.scenario)}
+            recorded = {"scenario": args.scenario}
         params = make_params(recorded["scenario"])
         code = _COMMANDS[args.command](args, config, params)
     except ValueError as exc:

@@ -95,7 +95,7 @@ _EDGE_MARGIN = 1e-6
 CATEGORIES = ("elite_driver", "elite_team", "nonelite_driver", "nonelite_team")
 
 _MAX_SEED = 2 ** 64
-# Before the first race, ``_summaries`` allocates a team histogram of
+# Before the first race, ``summarize_all`` allocates a team histogram of
 # 2 * (25 * races_full + 8 * races_sprint) + 1 int64s per team category;
 # at 10000 races that is at most 500001 of them, 4 MB.  A car's season
 # total is then at most 25 * 10000 = 250000, so the scoring tables and
@@ -129,7 +129,7 @@ class SeasonConfig:
     scenario: str = "baseline"
 
     def __post_init__(self):
-        object.__setattr__(self, "scenario", canonical_scenario(self.scenario))
+        canonical_scenario(self.scenario)
         for field, default in zip(("races_full", "races_sprint"), SCENARIO_SEASONS[self.scenario]):
             if getattr(self, field) is None:
                 object.__setattr__(self, field, default)
@@ -185,23 +185,6 @@ class SimulationSummary:
         return asdict(self)
 
 
-def _uniform_chunk(master_seed, race, driver, chunk_index, count, offset=0, out=None):
-    """Uniforms ``offset .. offset + count`` of one (race, driver, chunk) stream.
-
-    Each Philox counter step yields four 64-bit words and ``random()``
-    uses one word per double, so the generator skips ``offset // 4``
-    counter steps and discards the remaining ``offset % 4`` words.  The
-    draws fill ``out`` when it is given.
-    """
-    seq = np.random.SeedSequence(entropy=[master_seed, race, driver, chunk_index])
-    bits = np.random.Philox(seq)
-    bits.advance(offset // 4)
-    gen = np.random.Generator(bits)
-    gen.random(offset % 4)
-    out = gen.random(count) if out is None else gen.random(out=out)
-    return np.maximum(out, _UNIFORM_FLOOR, out=out)
-
-
 def _category_kind(category):
     """(driver class, cars) of a category; teams score two cars."""
     driver_class, entity = category.rsplit("_", 1)
@@ -211,12 +194,21 @@ def _category_kind(category):
 def _race_uniforms(config, race, start, out):
     """Fill ``out[car]`` with car ``car``'s uniforms of one race for seasons ``start ..``.
 
-    The seasons must lie in one chunk.
+    The seasons must lie in one chunk.  Each car reads the Philox stream
+    keyed by (seed, race, car, chunk).  Each counter step yields four
+    64-bit words and ``random()`` uses one word per double, so the
+    generator skips ``offset // 4`` counter steps and discards the
+    remaining ``offset % 4`` words.
     """
     chunk_index, offset = divmod(start, CHUNK_SIMS)
     for car, row in enumerate(out):
-        _uniform_chunk(config.master_seed, race, car, chunk_index, len(row), offset, out=row)
-    return out
+        seq = np.random.SeedSequence(entropy=[config.master_seed, race, car, chunk_index])
+        bits = np.random.Philox(seq)
+        bits.advance(offset // 4)
+        gen = np.random.Generator(bits)
+        gen.random(offset % 4)
+        gen.random(out=row)
+    return np.maximum(out, _UNIFORM_FLOOR, out=out)
 
 
 class _RankPlan(NamedTuple):
@@ -415,38 +407,34 @@ def _replay(params, category, config, sim_index):
 
 
 def summarize(category, config):
-    """Simulate a category and reduce it to a ``SimulationSummary``.
+    """The ``SimulationSummary`` of one category: its entry of ``summarize_all``.
 
     The mean is the arithmetic mean of the season totals; the interval
     endpoints are the empirical 2.5th and 97.5th percentiles, reported
     as attained sample values (hence integers).
     """
-    return _summaries((category,), config, 1)[category]
+    _check_run((category,), 1)
+    return summarize_all(config)[category]
 
 
 def summarize_all(config, workers=1):
-    """Summaries for all four categories as a dict keyed by category."""
-    return _summaries(CATEGORIES, config, workers)
+    """Summaries for all four categories as a dict keyed by category.
 
-
-def _summaries(categories, config, workers):
-    """``summarize`` for several categories in one pass over the blocks.
-
-    Each block's totals are reduced at once to one histogram per
-    category, and the histograms are summed in the calling thread, so
-    no ``n_sims``-long array is held for more than one category at a
-    time.  Integer counts are exact, so the summaries equal those of
-    ``season_totals`` bit for bit.
+    One pass over the blocks reduces each block's totals at once to one
+    histogram per category, and the histograms are summed in the
+    calling thread, so no ``n_sims``-long array is held for more than
+    one category at a time.  Integer counts are exact, so the summaries
+    equal those of ``season_totals`` bit for bit.
     """
     if config.n_sims < 40:
         raise ValueError("n_sims must be at least 40 for meaningful 95% percentiles")
-    _check_run(categories, workers)
+    _check_run(CATEGORIES, workers)
     params = make_params(config.scenario)
     top = _season_top(config)
-    sizes = [cars * top + 1 for _, cars in map(_category_kind, categories)]
+    sizes = [cars * top + 1 for _, cars in map(_category_kind, CATEGORIES)]
 
     def run(start, count):
-        block = _season_block(params, categories, config, start, count)
+        block = _season_block(params, CATEGORIES, config, start, count)
         return [np.bincount(totals, minlength=size) for totals, size in zip(block, sizes)]
 
     counts = [np.zeros(size, dtype=np.int64) for size in sizes]
@@ -455,7 +443,7 @@ def _summaries(categories, config, workers):
             total += block_count
     return {
         category: _summary(category, count, config.n_sims)
-        for category, count in zip(categories, counts)
+        for category, count in zip(CATEGORIES, counts)
     }
 
 

@@ -115,9 +115,12 @@ def test_rookie_is_not_a_scenario():
 
 
 def test_scenario_alias():
-    assert canonical_scenario("dominant_manufacturer") == "dominant"
+    # each scenario has one spelling; the long dominant one is rejected
     assert canonical_scenario("baseline") == "baseline"
-    assert make_params("dominant_manufacturer") == make_params("dominant")
+    assert canonical_scenario("dominant") == "dominant"
+    for call in (canonical_scenario, make_params):
+        with pytest.raises(ValueError, match="unknown scenario 'dominant_manufacturer'"):
+            call("dominant_manufacturer")
 
 
 def test_unknown_scenario_rejected():

@@ -7,6 +7,7 @@ is exercised.
 
 import codecs
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -45,6 +46,15 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_process(argv, timeout=120):
+    """Run ``python -m f1bench.cli`` on this checkout's sources in a child process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "f1bench.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def read_manifest(err):
     return json.loads(err.splitlines()[0])
 
@@ -76,10 +86,14 @@ def test_calibrate_dominant_scenario(capsys):
     rows = {row["parameter"]: row for row in csv.DictReader(io.StringIO(out))}
     assert float(rows["mu_elite"]["value"]) == 5.5
     assert abs(float(rows["sigma_elite"]["value"]) - 2.607903) <= 1e-5
-    # the long spelling is accepted as an alias
-    code, out2, _ = run_cli(capsys, ["calibrate", "--scenario", "dominant_manufacturer"])
-    assert code == 0
-    assert out2 == out
+    # the long spelling is not an alias: argparse rejects it
+    with pytest.raises(SystemExit) as excinfo:
+        main(["calibrate", "--scenario", "dominant_manufacturer"])
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("argument --scenario: invalid choice: 'dominant_manufacturer'"
+            in captured.err.splitlines()[-1])
 
 
 # sha256 of the stdout of each analytic command in json.  Like the
@@ -244,7 +258,7 @@ REPLAY_FLAGS = {
 
 
 @pytest.mark.parametrize("argv", [
-    ["calibrate", "--scenario", "dominant_manufacturer"],
+    ["calibrate", "--scenario", "dominant"],
     ["probs", "--format", "md"],
     ["simulate", "--seed", "31415"] + SMALL,
     ["simulate", "--rookie"] + SMALL,
@@ -313,7 +327,7 @@ def test_analytic_commands_reject_season_flags(command, flag, capsys):
 
 
 def test_calibrate_manifest_records_only_what_it_reads(capsys):
-    code, _, err = run_cli(capsys, ["calibrate", "--scenario", "dominant_manufacturer"])
+    code, _, err = run_cli(capsys, ["calibrate", "--scenario", "dominant"])
     assert code == 0
     assert read_manifest(err)["config"] == {"format": "csv", "scenario": "dominant"}
 
@@ -359,12 +373,7 @@ def test_calibration_selfcheck_exits_2(monkeypatch, tmp_path, capsys):
 
 
 def test_process_entry_point(capsys):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    runs = [subprocess.run([sys.executable, "-m", "f1bench.cli", *argv], env=env,
-                           capture_output=True, text=True, timeout=120)
-            for argv in (["calibrate"], ["simulate", "--sims", "0"])]
+    runs = [run_process(argv) for argv in (["calibrate"], ["simulate", "--sims", "0"])]
     assert [run.returncode for run in runs] == [0, 1]
     _, expected, _ = run_cli(capsys, ["calibrate"])
     assert runs[0].stdout == expected
@@ -565,6 +574,85 @@ def test_cache_may_not_name_the_results_file(tmp_path, capsys):
         assert err.splitlines() == [
             f"f1bench: error: cannot write summary cache {cache}: it is the results file"]
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_cache_must_be_a_regular_file(tmp_path):
+    # reading a FIFO would block until a writer came; it is refused
+    # before the run, in a child process so that a regression times out
+    fifo = tmp_path / "cache.fifo"
+    os.mkfifo(fifo)
+    manifest = tmp_path / "m.json"
+    run = run_process(["simulate", "--cache", str(fifo), "--manifest", str(manifest)] + SMALL,
+                      timeout=60)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.splitlines() == [
+        f"f1bench: error: cannot write summary cache {fifo}: not a regular file"]
+    assert [path.name for path in tmp_path.iterdir()] == ["cache.fifo"]
+
+
+def test_failed_cache_write_after_the_run(tmp_path, capsys, monkeypatch):
+    # the store is the run's last step; when its rename fails on a full
+    # disk, the run fails naming the path and errno, writes no manifest,
+    # leaves no temporary file and keeps an old cache as it was
+    old = tmp_path / "old.json"
+    store_summaries(str(old), SeasonConfig(master_seed=7), FULL_SCALE_SUMMARIES)
+    old_bytes = old.read_bytes()
+
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    manifest = tmp_path / "m.json"
+    for cache in (tmp_path / "new.json", old):
+        code, out, err = run_cli(
+            capsys, ["simulate", "--cache", str(cache), "--manifest", str(manifest)] + SMALL)
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert line.startswith(f"f1bench: error: cannot write summary cache {cache}: [Errno 28] ")
+    assert [path.name for path in tmp_path.iterdir()] == ["old.json"]
+    assert old.read_bytes() == old_bytes
+
+
+@pytest.fixture
+def bundled_copy(tmp_path, monkeypatch):
+    """A copy of the bundled season, read in its place by the CLI and ``load_bundled_results``."""
+    copy = tmp_path / "season_2025.csv"
+    copy.write_bytes(benchmark.BUNDLED_RESULTS.read_bytes())
+    monkeypatch.setattr(benchmark, "BUNDLED_RESULTS", copy)
+    benchmark.load_bundled_results.cache_clear()
+    yield copy
+    benchmark.load_bundled_results.cache_clear()
+
+
+def test_writes_may_not_name_the_bundled_results_file(bundled_copy, tmp_path, capsys):
+    # a cache or manifest on the bundled season, or on a hard link to it,
+    # is refused before the run on every subcommand, and the file is left
+    # as it was
+    link = tmp_path / "link.csv"
+    os.link(bundled_copy, link)
+    cache = tmp_path / "cache.json"
+    store_summaries(str(cache), SeasonConfig(), FULL_SCALE_SUMMARIES)
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    for argv, label, path in (
+        (["benchmark", "--cache", str(bundled_copy)] + SMALL, "summary cache", bundled_copy),
+        (["simulate", "--cache", str(link)] + SMALL, "summary cache", link),
+        (["calibrate", "--manifest", str(bundled_copy)], "manifest", bundled_copy),
+        (["probs", "--manifest", str(link)], "manifest", link),
+        (["benchmark", "--cache", str(cache), "--manifest", str(bundled_copy)], "manifest",
+         bundled_copy),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err.splitlines() == [
+            f"f1bench: error: cannot write {label} {path}: it is the bundled results file"]
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+    # benchmark reads the season from the same path
+    bundled_copy.write_text("name,team,class,points,entity\n"
+                            "Prodigy,Upstart,nonelite,88,driver\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["benchmark", "--cache", str(cache), "--format", "csv"])
+    assert (code, out) == (0, "name,team,class,entity,points,ci_low,ci_high,outcome\n"
+                              "Prodigy,Upstart,nonelite,driver,88.0,1.0,29.0,above\n")
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

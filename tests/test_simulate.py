@@ -32,12 +32,18 @@ from f1bench.simulate import (
     simulate_team_season, store_summaries, summarize, summarize_all,
 )
 from f1bench.simulate import (
-    _BLOCK_SIMS, _EDGE_MARGIN, _FULL_TABLE, _race_step, _rank_plan, _ranks, _season_top,
-    _summary, _uniform_chunk,
+    _BLOCK_SIMS, _EDGE_MARGIN, _FULL_TABLE, _race_step, _race_uniforms, _rank_plan, _ranks,
+    _season_top, _summary,
 )
 
 PARAMS = make_params()
 STAT_SIMS = 200_000
+
+
+def _reference_uniforms(race, car, chunk, count):
+    """The first ``count`` uniforms of one Philox stream, as the engine keys and floors them."""
+    seq = np.random.SeedSequence(entropy=[DEFAULT_SEED, race, car, chunk])
+    return np.maximum(np.random.Generator(np.random.Philox(seq)).random(count), 2.0 ** -53)
 
 
 class FlatParams:
@@ -74,15 +80,17 @@ def test_race_format_order():
 
 
 def test_uniform_offset_is_tail_of_full_draw():
-    # offsets cover every residue mod 4 and the last season of a chunk
-    full = _uniform_chunk(DEFAULT_SEED, 3, 1, 2, CHUNK_SIMS + 5)
-    for offset in [*range(9), CHUNK_SIMS - 1]:
-        tail = _uniform_chunk(DEFAULT_SEED, 3, 1, 2, 6, offset)
-        assert (tail == full[offset:offset + 6]).all(), offset
+    # offsets cover every residue mod 4, the chunk's last six seasons and
+    # its last season alone, as a replay of that season reads it
+    full = np.array([_reference_uniforms(3, car, 2, CHUNK_SIMS) for car in range(2)])
+    for offset, count in [*((offset, 6) for offset in range(9)),
+                          (CHUNK_SIMS - 6, 6), (CHUNK_SIMS - 1, 1)]:
+        tail = _race_uniforms(SeasonConfig(), 3, 2 * CHUNK_SIMS + offset, np.empty((2, count)))
+        assert tail.tobytes() == full[:, offset:offset + count].tobytes(), offset
 
 
 def test_uniform_draws_are_open_interval():
-    draws = _uniform_chunk(DEFAULT_SEED, 0, 0, 0, 100_000)
+    draws = _race_uniforms(SeasonConfig(), 0, 0, np.empty((2, 100_000)))
     assert draws.min() >= 2.0 ** -53
     assert draws.max() < 1.0
 
@@ -126,8 +134,10 @@ def test_season_config_validation():
 
 
 def test_season_config_canonicalizes_scenario():
-    config = SeasonConfig(scenario="dominant_manufacturer")
-    assert config.scenario == "dominant"
+    # a scenario has one spelling; the long dominant one is not an alias
+    assert SeasonConfig(scenario="dominant").scenario == "dominant"
+    with pytest.raises(ValueError, match="unknown scenario 'dominant_manufacturer'"):
+        SeasonConfig(scenario="dominant_manufacturer")
     assert SCENARIO_SEASONS["dominant"] == (18, 6)
     assert SCENARIO_SEASONS["baseline"] == (24, 6)
     # one table: the scenario list is its keys, and simulate re-exports it
@@ -136,16 +146,14 @@ def test_season_config_canonicalizes_scenario():
 
 
 def test_season_config_takes_the_scenario_calendar():
-    for name, scenario in (("baseline", "baseline"), ("dominant", "dominant"),
-                           ("dominant_manufacturer", "dominant")):
-        config = SeasonConfig(scenario=name)
-        assert (config.races_full, config.races_sprint) == SCENARIO_SEASONS[scenario], name
+    for scenario, (full, sprint) in SCENARIO_SEASONS.items():
+        config = SeasonConfig(scenario=scenario)
+        assert (config.races_full, config.races_sprint) == (full, sprint), scenario
         # an explicit count wins, one field at a time
-        full, sprint = SCENARIO_SEASONS[scenario]
-        only_full = SeasonConfig(races_full=5, scenario=name)
-        assert (only_full.races_full, only_full.races_sprint) == (5, sprint), name
-        only_sprint = SeasonConfig(races_sprint=0, scenario=name)
-        assert (only_sprint.races_full, only_sprint.races_sprint) == (full, 0), name
+        only_full = SeasonConfig(races_full=5, scenario=scenario)
+        assert (only_full.races_full, only_full.races_sprint) == (5, sprint), scenario
+        only_sprint = SeasonConfig(races_sprint=0, scenario=scenario)
+        assert (only_sprint.races_full, only_sprint.races_sprint) == (full, 0), scenario
 
 
 def test_simulation_summary_validation():
@@ -305,7 +313,7 @@ def test_acklam_start_stays_within_margin():
     extremes = [tiny, 1.0 - tiny]
     for point in (0.02425, 0.97575):
         extremes += [np.nextafter(point, 0.0), point, np.nextafter(point, 1.0)]
-    uniforms = np.array([np.concatenate([_uniform_chunk(DEFAULT_SEED, 0, car, 0, 1_000_000),
+    uniforms = np.array([np.concatenate([_reference_uniforms(0, car, 0, 1_000_000),
                                          extremes]) for car in range(2)])
     plan = _rank_plan(PARAMS, CATEGORIES)
     start = _ranks(plan, [_acklam(u) for u in uniforms])
@@ -343,7 +351,7 @@ def test_acklam_equals_masked_reference():
     extremes = [tiny, 1.0 - tiny]
     for point in (_P_LOW, 1.0 - _P_LOW):
         extremes += [np.nextafter(point, 0.0), point, np.nextafter(point, 1.0)]
-    p = np.concatenate([_uniform_chunk(DEFAULT_SEED, 0, 0, 0, 100_000), extremes])
+    p = np.concatenate([_reference_uniforms(0, 0, 0, 100_000), extremes])
     with np.errstate(all="raise"):
         assert _acklam(p).tobytes() == _acklam_masked(p).tobytes()
         # one-element arrays, as a replay passes, take a single branch each
@@ -381,7 +389,7 @@ def test_near_edge_draws_take_polished_path(monkeypatch):
     for params in (PARAMS, make_params("dominant")):
         for driver_class in ("elite", "nonelite"):
             edge = _bin_edge_uniforms(params, driver_class)
-            other = _uniform_chunk(DEFAULT_SEED, 0, 1, 0, len(edge))
+            other = _reference_uniforms(0, 1, 0, len(edge))
             for category, uniforms in ((f"{driver_class}_driver", [edge]),
                                        (f"{driver_class}_team", [edge, other])):
                 plan = _rank_plan(params, (category,))
@@ -406,9 +414,9 @@ def test_stacked_step_screens_every_row(monkeypatch):
         plan = _rank_plan(params, CATEGORIES)
         for edge_class in ("elite", "nonelite"):
             edge = _bin_edge_uniforms(params, edge_class)
-            ordinary = _uniform_chunk(DEFAULT_SEED, 5, 0, 0, 4096)
+            ordinary = _reference_uniforms(5, 0, 0, 4096)
             uniforms = np.array([np.concatenate([edge, ordinary]),
-                                 _uniform_chunk(DEFAULT_SEED, 5, 1, 0, len(edge) + 4096)])
+                                 _reference_uniforms(5, 1, 0, len(edge) + 4096)])
             expected = _polished_positions(plan, uniforms)
             sizes.clear()
             _counting_quantile(monkeypatch, sizes)
