@@ -80,7 +80,12 @@ class ModelParams:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise ValueError(f"{field.name} must be finite, got a value too large "
+                                 "for a float") from None
+            if not finite:
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
         if not (self.sigma_elite > 0.0 and self.sigma_nonelite > 0.0):
             raise ValueError("standard deviations must be positive")

@@ -172,7 +172,11 @@ class SimulationSummary:
             value = getattr(self, field)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"{field} must be a real number, got {value!r}")
-            object.__setattr__(self, field, float(value))
+            try:
+                object.__setattr__(self, field, float(value))
+            except OverflowError:
+                raise ValueError(f"{field} must be finite, got a value too large "
+                                 "for a float") from None
         if not (_is_int(self.n_sims) and self.n_sims >= 1):
             raise ValueError(f"n_sims must be an integer of at least 1, got {self.n_sims!r}")
         object.__setattr__(self, "n_sims", int(self.n_sims))
@@ -529,10 +533,26 @@ def _model_fingerprint():
     return hashlib.sha256(json.dumps(model).encode()).hexdigest()[:16]
 
 
+@functools.lru_cache(maxsize=1)
+def _decode(raw):
+    """The JSON value of a cache file's bytes, memoized for the last bytes decoded.
+
+    The key is the file's whole content, so a rewritten file is decoded
+    afresh however its size, mtime or inode compare; a failed decode
+    raises and is not kept.  Callers share the value and must not
+    change it.
+    """
+    return json.loads(raw.decode("utf-8"))
+
+
 def _read_entries(path):
-    """The cache file's entries under the current model; ``ValueError`` if malformed."""
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+    """The cache file's entries under the current model; ``ValueError`` if malformed.
+
+    The entries are shared with every later read of the same bytes, so
+    they are read-only.
+    """
+    with open(path, "rb") as handle:
+        payload = _decode(handle.read())
     if not isinstance(payload, dict):
         raise ValueError("top level is not a JSON object")
     entries = payload.get(_model_fingerprint(), {})
@@ -545,13 +565,13 @@ def load_cached_summaries(path, config):
     """Load summaries for a configuration from a cache file, or None.
 
     Entries sit under ``_model_fingerprint``, so one written under
-    another model is a miss.  A cache file that cannot be read, or
-    whose entry for the configuration does not hold exactly the
-    ``CATEGORIES`` summaries of ``config.n_sims`` seasons, is a miss: a
-    warning naming the file goes to stderr, and the caller recomputes
-    and rewrites it.
+    another model is a miss, as is a missing file.  A cache file that
+    cannot be read, or whose entry for the configuration does not hold
+    exactly the ``CATEGORIES`` summaries of ``config.n_sims`` seasons,
+    is a miss: a warning naming the file goes to stderr, and the caller
+    recomputes and rewrites it.
     """
-    if not path or not os.path.exists(path):
+    if not path:
         return None
     try:
         entry = _read_entries(path).get(_cache_key(config))
@@ -565,6 +585,8 @@ def load_cached_summaries(path, config):
                 raise ValueError(f"entry {category} holds {summary.category} "
                                  f"of {summary.n_sims} seasons")
         return summaries
+    except FileNotFoundError:
+        return None
     except (OSError, TypeError, ValueError) as exc:
         print(f"f1bench: warning: ignoring unreadable summary cache {path}: {exc}",
               file=sys.stderr)
@@ -585,9 +607,10 @@ def store_summaries(path, config, summaries):
         entries = _read_entries(path)
     except (FileNotFoundError, ValueError):
         entries = {}
-    entries[_cache_key(config)] = {
+    # a new dict: the entries read are shared with later reads of the old bytes
+    entries = {**entries, _cache_key(config): {
         category: summary.as_dict() for category, summary in summaries.items()
-    }
+    }}
     fd, temp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                      prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:

@@ -160,9 +160,10 @@ def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         # |cov| >= sigma^2 breaks positive definiteness
         ModelParams(**{**good, "cov_elite_pair": -SIGMA_ELITE**2})
-    # a non-finite field is named before any other check reads it; NaN
-    # and inf compare false, and a NaN elite mean made every rank a win
+    # a non-finite field, or an integer too large for a float, is named
+    # before any other check reads it; NaN and inf compare false, and a
+    # NaN elite mean made every rank a win
     for field in good:
-        for value in (float("nan"), float("inf"), float("-inf")):
+        for value in (float("nan"), float("inf"), float("-inf"), 10**400, -10**400):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 ModelParams(**{**good, field: value})

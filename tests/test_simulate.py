@@ -170,6 +170,11 @@ def test_simulation_summary_validation():
         with pytest.raises(ValueError):
             SimulationSummary(category="elite_driver", mean_points=6.5,
                               ci_low=6.0, ci_high=value, n_sims=100)
+    # an integer too large for a float is not finite either
+    for field in ("mean_points", "ci_high"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SimulationSummary(**{"category": "elite_driver", "mean_points": 6.5,
+                                 "ci_low": 6.0, "ci_high": 7.0, "n_sims": 100, field: 10**400})
     # the values are real numbers, not bools or strings, and are stored as floats
     for field, value in (("ci_low", True), ("mean_points", False), ("ci_high", "7.0"),
                          ("mean_points", None)):
@@ -855,6 +860,9 @@ def test_malformed_summary_cache_entry_is_a_miss(tmp_path, capsys):
     # JSON types a summary does not hold: a bool endpoint, a float count
     boolean = dict(entry, elite_driver=dict(entry["elite_driver"], ci_low=True))
     float_count = {category: dict(fields, n_sims=1000.0) for category, fields in entry.items()}
+    # integers too large for a float
+    huge_mean = dict(entry, elite_driver=dict(entry["elite_driver"], mean_points=10**400))
+    huge_high = dict(entry, nonelite_team=dict(entry["nonelite_team"], ci_high=10**400))
     for bad in (
         {category: fields for category, fields in entry.items() if category != "elite_team"},
         dict(entry, rookie_elite_driver=entry["elite_driver"]),
@@ -864,6 +872,8 @@ def test_malformed_summary_cache_entry_is_a_miss(tmp_path, capsys):
         not_a_number,
         boolean,
         float_count,
+        huge_mean,
+        huge_high,
         ["elite_driver", "elite_team", "nonelite_driver", "nonelite_team"],
     ):
         with open(path, "w", encoding="utf-8") as handle:
@@ -897,4 +907,133 @@ def test_unreadable_summary_cache_path_is_a_miss(tmp_path, capsys):
     assert str(tmp_path) in capsys.readouterr().err
     # a file in a missing directory is a plain miss
     assert load_cached_summaries(str(tmp_path / "missing" / "c.json"), config) is None
+    assert capsys.readouterr().err == ""
+
+
+def _count_decodes(monkeypatch):
+    """Empty the cache memo and count ``json.loads`` calls from here on."""
+    simulate._decode.cache_clear()
+    calls = []
+    loads = json.loads
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    return calls
+
+
+def test_summary_cache_decodes_once_per_content(tmp_path, monkeypatch):
+    path = str(tmp_path / "summaries.json")
+    config = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000)
+    other = SeasonConfig(races_full=1, races_sprint=1, n_sims=1_000)
+    summaries = summarize_all(config)
+    store_summaries(path, config, summaries)
+    loads = json.loads
+    decodes = _count_decodes(monkeypatch)
+    # loads and a store of an unchanged file decode it once
+    for _ in range(3):
+        assert load_cached_summaries(path, config) == summaries
+    store_summaries(path, other, summarize_all(other))
+    assert len(decodes) == 1
+    # the file the store wrote is new content, decoded once
+    for _ in range(3):
+        assert load_cached_summaries(path, other) is not None
+    assert len(decodes) == 2
+    # so is a rewrite by another writer, here in the indented layout
+    with open(path, encoding="utf-8") as handle:
+        payload = loads(handle.read())
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+    for _ in range(3):
+        assert load_cached_summaries(path, config) == summaries
+    assert len(decodes) == 3
+
+
+def test_summary_cache_memo_follows_content_not_mtime(tmp_path):
+    # a rewrite of the same size, its mtime restored, is read afresh
+    path = str(tmp_path / "summaries.json")
+    config = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000)
+    summaries = summarize_all(config)
+    store_summaries(path, config, summaries)
+    assert load_cached_summaries(path, config) == summaries
+    stat = os.stat(path)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    band = summaries["elite_team"]
+    narrower = dataclasses.replace(band, ci_high=band.ci_high - 1)
+    assert band.ci_low <= narrower.ci_high and len(str(narrower.ci_high)) == len(str(band.ci_high))
+    # keys are sorted, so a summary's category is followed by its ci_high
+    old_edge, new_edge = (f'"category": "elite_team", "ci_high": {value.ci_high},'.encode()
+                          for value in (band, narrower))
+    assert raw.count(old_edge) == 1
+    edited = raw.replace(old_edge, new_edge)
+    assert len(edited) == len(raw)
+    with open(path, "r+b") as handle:
+        handle.write(edited)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) \
+        == (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+    assert load_cached_summaries(path, config) == dict(summaries, elite_team=narrower)
+
+
+def test_summary_cache_store_leaves_the_memo_unchanged(tmp_path):
+    # A, then a store of a new configuration (file B), then A's bytes
+    # again: the new configuration is not in A
+    path = str(tmp_path / "summaries.json")
+    config = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000)
+    other = SeasonConfig(races_full=1, races_sprint=1, n_sims=1_000)
+    summaries = summarize_all(config)
+    store_summaries(path, config, summaries)
+    with open(path, "rb") as handle:
+        file_a = handle.read()
+    assert load_cached_summaries(path, config) == summaries
+    assert load_cached_summaries(path, other) is None
+    store_summaries(path, other, summarize_all(other))
+    with open(path, "wb") as handle:
+        handle.write(file_a)
+    assert load_cached_summaries(path, other) is None
+    assert load_cached_summaries(path, config) == summaries
+
+
+def test_summary_cache_same_bytes_at_two_paths(tmp_path, monkeypatch):
+    # the memo holds content, not a path: two copies both hit, on one decode
+    first, second = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    config = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000)
+    summaries = summarize_all(config)
+    store_summaries(first, config, summaries)
+    with open(first, "rb") as source, open(second, "wb") as copy:
+        copy.write(source.read())
+    decodes = _count_decodes(monkeypatch)
+    assert load_cached_summaries(first, config) == summaries
+    assert load_cached_summaries(second, config) == summaries
+    assert len(decodes) == 1
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda raw: b"\xef\xbb\xbf" + raw, "Unexpected UTF-8 BOM"),
+    (lambda raw: raw.replace(b"{", b'{"caf\xe9": 0, ', 1),
+     "'utf-8' codec can't decode byte 0xe9"),
+])
+def test_summary_cache_that_is_not_utf8_json_is_a_miss(tmp_path, capsys, damage, message):
+    # the file is read as bytes and decoded as strict UTF-8: a byte-order
+    # mark or a non-UTF-8 byte is a warning and a miss, and the next
+    # store replaces the file
+    path = str(tmp_path / "summaries.json")
+    config = SeasonConfig(races_full=2, races_sprint=1, n_sims=1_000)
+    summaries = summarize_all(config)
+    store_summaries(path, config, summaries)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(damage(raw))
+    assert load_cached_summaries(path, config) is None
+    err = capsys.readouterr().err
+    assert path in err and message in err
+    store_summaries(path, config, summaries)
+    with open(path, "rb") as handle:
+        assert handle.read() == raw
+    assert load_cached_summaries(path, config) == summaries
     assert capsys.readouterr().err == ""
